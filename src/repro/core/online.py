@@ -57,6 +57,7 @@ from repro.fields.ring import ZmodElement
 from repro.observability.tracer import KIND_BATCH, maybe_span
 from repro.paillier.encoding import safe_chunk_bits, unchunk_integer
 from repro.paillier.paillier import PaillierSecretKey
+from repro.rng import fork_rng
 from repro.sharing.packed import PackedShare, packed_scheme
 from repro.wire.registry import register_kind
 from repro.yoso.committees import Committee
@@ -194,7 +195,9 @@ def sample_online_committees(
         client_roles=clients,
         output_client_roles=out_clients,
         tracker=MuTracker(setup, program),
-        oracle=MuShareOracle(),
+        # Keyed from a fork of the run's generator: same seed, same tokens,
+        # and no other draw of the run moves.
+        oracle=MuShareOracle(key=fork_rng(env.rng).randbytes(32)),
     )
 
 

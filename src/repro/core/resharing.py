@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine.engine import active as active_engine
+from repro.engine.engine import exp_many
 from repro.errors import ProtocolAbortError
 from repro.nizk.composite import (
     verify_exponent_interpolates_share,
@@ -80,7 +80,8 @@ register_wire_dataclass(19, EncryptedResharing)
 
 def dlog_base(tpk: ThresholdPublicKey) -> int:
     """The exponent-check base ``v^Δ mod N²`` shared by all checks."""
-    return pow(tpk.verification_base, tpk.delta, tpk.n_squared)
+    (base,) = exp_many([(tpk.verification_base, tpk.delta, tpk.n_squared)])
+    return base
 
 
 def build_resharing(
@@ -100,28 +101,26 @@ def build_resharing(
     offset = 1 << offset_bits
     base = dlog_base(tpk)
     n2 = tpk.n_squared
-    engine = active_engine()
     # Chunk every subshare and draw every limb randomizer first (fixed order),
     # so the two heavy exponentiation families — limb encryptions and the
     # shared-base limb verifications — each run as one engine batch.  The
-    # verification batch repeats ``base`` per limb, which is exactly the
-    # fixed-base-cache shape.
+    # verification batch repeats ``base`` per limb: the engine kernel's
+    # fixed-base table for ``v^Δ`` serves it.
     limbs_per_recipient: list[list[int]] = []
     limb_rand: list[list[int]] = []
     for subshare, pk in zip(raw.subshares, recipient_pks):
         limbs_int = chunk_integer(subshare + offset, safe_chunk_bits(pk.n))
         limbs_per_recipient.append(limbs_int)
         limb_rand.append([pk.random_unit(rng) for _ in limbs_int])
-    enc_values = engine.pow_many([
+    enc_values = exp_many([
         (r, pk.n, pk.n_squared)
         for pk, rands in zip(recipient_pks, limb_rand)
         for r in rands
     ])
-    verif_values = engine.pow_many([
+    verif_values = exp_many([
         (base, limb, n2) for limbs_int in limbs_per_recipient for limb in limbs_int
     ])
     _hooks.note(_hooks.PAILLIER_ENCRYPT, len(enc_values))
-    _hooks.note(_hooks.PAILLIER_EXP, len(enc_values))
     encrypted: list[EncryptedSubshare] = []
     flat = 0
     for j, (pk, limbs_int, rands) in enumerate(
@@ -171,7 +170,7 @@ def verify_resharing(
         return False
     base = dlog_base(tpk)
     n2 = tpk.n_squared
-    offset_term = pow(base, 1 << resharing.offset_bits, n2)
+    (offset_term,) = exp_many([(base, 1 << resharing.offset_bits, n2)])
     for sub in resharing.subshares:
         if not 1 <= sub.recipient_index <= tpk.n_parties:
             return False
@@ -181,8 +180,11 @@ def verify_resharing(
             return False
         # Limb combination must equal shifted subshare in the exponent.
         combined = 1
-        for m, verification in enumerate(sub.limb_verifications):
-            combined = combined * pow(verification, 1 << (m * chunk_bits), n2) % n2
+        for power in exp_many([
+            (verification, 1 << (m * chunk_bits), n2)
+            for m, verification in enumerate(sub.limb_verifications)
+        ]):
+            combined = combined * power % n2
         expected = (
             resharing.verifications[sub.recipient_index - 1] * offset_term % n2
         )
@@ -253,7 +255,7 @@ def next_verifications(
     scaled, _ = integer_lagrange_scaled(sorted(contributor_set), at=0, delta=tpk.delta)
     n2 = tpk.n_squared
     senders = sorted(contributor_set)
-    powers = active_engine().pow_many([
+    powers = exp_many([
         (resharings[sender].verifications[j - 1], lam, n2)
         for j in range(1, tpk.n_parties + 1)
         for sender, lam in zip(senders, scaled)

@@ -12,8 +12,9 @@ A job-based bulk-arithmetic layer for the Paillier-heavy offline path:
   :func:`~repro.engine.batch.teval_many`,
   :func:`~repro.engine.batch.scalar_mul_many`) adopted by the protocol's
   offline / re-encryption / threshold-combine layers;
-* :class:`~repro.engine.fixedbase.FixedBaseCache` — shared square chains
-  for bases that repeat within a batch.
+* :class:`~repro.engine.fixedbase.FixedBaseStore` — the kernel's bounded
+  store of windowed :class:`~repro.engine.fixedbase.FixedBaseTable` s for
+  the bases that repeat across batches, roles and epochs.
 
 See docs/PERFORMANCE.md for the execution model and when the pool wins.
 
@@ -28,10 +29,11 @@ from repro.engine.engine import (
     SerialEngine,
     activated,
     active,
+    exp_many,
     install,
     make_engine,
 )
-from repro.engine.fixedbase import FixedBaseCache
+from repro.engine.fixedbase import FixedBaseStore, FixedBaseTable
 from repro.engine.jobs import PowJob, chunk_jobs, compute_pows, run_pow_chunk
 
 _BATCH_EXPORTS = (
@@ -45,13 +47,15 @@ __all__ = [
     "CryptoEngine",
     "SerialEngine",
     "ProcessPoolEngine",
-    "FixedBaseCache",
+    "FixedBaseStore",
+    "FixedBaseTable",
     "PowJob",
     "chunk_jobs",
     "compute_pows",
     "run_pow_chunk",
     "activated",
     "active",
+    "exp_many",
     "install",
     "make_engine",
     *_BATCH_EXPORTS,

@@ -23,7 +23,10 @@ rather than threading an engine argument through every signature, and
 
 Determinism: engines never draw randomness — they evaluate exponentiations
 whose operands the caller already fixed.  A seeded run therefore produces
-byte-identical transcripts whatever the engine or worker count.
+byte-identical transcripts whatever the engine or worker count, and
+whatever the kernel's fixed-base table store (see
+:mod:`repro.engine.fixedbase`) happens to hold: a table changes how fast a
+power arrives, never its value.
 """
 
 from __future__ import annotations
@@ -31,7 +34,13 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Sequence
 
-from repro.engine.jobs import PowJob, chunk_jobs, compute_pows, run_pow_chunk
+from repro.engine.jobs import (
+    PowJob,
+    chunk_jobs,
+    clear_tables,
+    compute_pows,
+    run_pow_chunk,
+)
 from repro.observability import hooks as _hooks
 from repro.observability.tracer import KIND_BATCH, maybe_span
 
@@ -189,14 +198,30 @@ def install(engine: CryptoEngine | None) -> None:
 
 @contextmanager
 def activated(engine: CryptoEngine | None) -> Iterator[CryptoEngine]:
-    """Install ``engine`` for the block, restoring the previous one after."""
+    """Install ``engine`` for the block, restoring the previous one after.
+
+    The block is one run: it starts with an empty fixed-base table store,
+    so its speed does not depend on tables a previous run left behind.
+    """
     global _active
     previous = _active
     _active = engine if engine is not None else _DEFAULT
+    clear_tables()
     try:
         yield _active
     finally:
         _active = previous
+
+
+def exp_many(jobs: Sequence[PowJob]) -> list[int]:
+    """``active().pow_many(jobs)``, each job counted under ``paillier.exp``.
+
+    For call sites that issue a handful of exponentiations at a time (one
+    Σ-proof, one public resharing check): the work reaches the engine's
+    kernel, and the ledger sees it, in one line.
+    """
+    _hooks.note(_hooks.PAILLIER_EXP, len(jobs))
+    return _active.pow_many(jobs)
 
 
 def make_engine(

@@ -8,60 +8,40 @@ worker processes without dragging any protocol object graph along.
 
 :func:`compute_pows` is the shared kernel: both the serial engine and the
 pool workers run it, so serial and parallel execution are bit-identical by
-construction.  It transparently builds a :class:`~repro.engine.fixedbase.
-FixedBaseCache` for bases that repeat within a batch, when the modulus is
-large enough for the cache to beat CPython's native ``pow``.
+construction.  It evaluates every job through this process's
+:class:`~repro.engine.fixedbase.FixedBaseStore`, which answers from a
+windowed fixed-base table once a base has repeated often enough to pay
+for one and from ``builtins.pow`` otherwise — the same integer either way.
+
+The store is the one piece of state the kernel keeps between batches.  It
+is bounded (a few hundred sighting counts, a fixed byte budget of tables,
+least-recently-used eviction), it is per process (a pool worker has its
+own), and :func:`repro.engine.engine.activated` — the scope of one
+``YosoMpc.run`` — starts from an empty one, so a run's speed never depends
+on what ran before it.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.engine.fixedbase import FixedBaseCache
+from repro.engine.fixedbase import FixedBaseStore
 
 #: One modular exponentiation: (base, exponent, modulus).
 PowJob = tuple  # tuple[int, int, int]
 
-#: Below this modulus size native ``pow`` always wins (its loop runs in C,
-#: so Python-level bookkeeping dominates for small integers).
-FIXEDBASE_MIN_BITS = 256
-
-#: A base must repeat at least this often in a batch before the square
-#: chain is worth building (the chain costs ~bits(e) squarings once).
-FIXEDBASE_MIN_GROUP = 4
+_TABLES = FixedBaseStore()
 
 
-def compute_pows(
-    jobs: Sequence[PowJob],
-    min_cache_bits: int = FIXEDBASE_MIN_BITS,
-    min_group: int = FIXEDBASE_MIN_GROUP,
-) -> list[int]:
-    """Evaluate every job in order; results match ``pow(b, e, m)`` exactly.
+def compute_pows(jobs: Sequence[PowJob]) -> list[int]:
+    """Evaluate every job in order; results match ``pow(b, e, m)`` exactly."""
+    table_pow = _TABLES.pow
+    return [table_pow(base, exponent, modulus) for base, exponent, modulus in jobs]
 
-    Bases repeating ``min_group``+ times over a ``min_cache_bits``+ modulus
-    share one :class:`FixedBaseCache` (built lazily, scoped to this call —
-    nothing leaks between batches or processes).
-    """
-    counts: dict[tuple[int, int], int] = {}
-    for base, _exponent, modulus in jobs:
-        if modulus.bit_length() >= min_cache_bits:
-            key = (base, modulus)
-            counts[key] = counts.get(key, 0) + 1
-    caches = {
-        key: FixedBaseCache(*key)
-        for key, count in counts.items()
-        if count >= min_group
-    }
-    if not caches:
-        return [pow(base, exponent, modulus) for base, exponent, modulus in jobs]
-    out = []
-    for base, exponent, modulus in jobs:
-        cache = caches.get((base, modulus))
-        if cache is not None:
-            out.append(cache.pow(exponent))
-        else:
-            out.append(pow(base, exponent, modulus))
-    return out
+
+def clear_tables() -> None:
+    """Forget every sighting and table of this process's store."""
+    _TABLES.clear()
 
 
 def run_pow_chunk(jobs: Sequence[PowJob]) -> list[int]:
@@ -72,8 +52,8 @@ def run_pow_chunk(jobs: Sequence[PowJob]) -> list[int]:
 def chunk_jobs(jobs: Sequence[PowJob], n_chunks: int) -> list[list[PowJob]]:
     """Split ``jobs`` into ``n_chunks`` contiguous, size-balanced chunks.
 
-    Contiguity + the fixed chunk count make the parallel result order (and
-    any per-chunk fixed-base grouping) deterministic for a given job list.
+    Contiguity + the fixed chunk count make the parallel result order
+    deterministic for a given job list.
     """
     jobs = list(jobs)
     n = len(jobs)

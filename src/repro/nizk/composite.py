@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
+from repro.engine.engine import exp_many
 from repro.errors import ProofError
 from repro.fields.lagrange import integer_lagrange_scaled
 from repro.paillier.threshold import ResharingMessage, ThresholdPublicKey
@@ -82,10 +83,11 @@ def verify_exponent_polynomial(
     base_points = list(range(1, t + 2))
     for j in range(t + 2, tpk.n_parties + 1):
         scaled, _ = integer_lagrange_scaled(base_points, at=j, delta=tpk.delta)
-        expected = 1
-        for l, lam in zip(base_points, scaled):
-            expected = expected * pow(values[l - 1], lam, n2) % n2
-        if pow(values[j - 1], tpk.delta, n2) != expected:
+        actual, *powers = exp_many(
+            [(values[j - 1], tpk.delta, n2)]
+            + [(values[l - 1], lam, n2) for l, lam in zip(base_points, scaled)]
+        )
+        if actual != _product(powers, n2):
             return False
     return True
 
@@ -108,10 +110,18 @@ def verify_exponent_interpolates_share(
         return False
     base_points = list(range(1, t + 2))
     scaled, _ = integer_lagrange_scaled(base_points, at=0, delta=tpk.delta)
+    actual, *powers = exp_many(
+        [(share_verification, tpk.delta, n2)]
+        + [(values[l - 1], lam, n2) for l, lam in zip(base_points, scaled)]
+    )
+    return actual == _product(powers, n2)
+
+
+def _product(values: Sequence[int], modulus: int) -> int:
     acc = 1
-    for l, lam in zip(base_points, scaled):
-        acc = acc * pow(values[l - 1], lam, n2) % n2
-    return pow(share_verification, tpk.delta, n2) == acc
+    for value in values:
+        acc = acc * value % modulus
+    return acc
 
 
 def _verification_values(

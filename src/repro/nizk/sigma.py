@@ -7,6 +7,13 @@ unknown-order-group technique giving statistical HVZK without knowing the
 group order.  Each class also exposes ``simulate`` (the HVZK simulator for a
 given challenge), which the tests use to check the zero-knowledge shape of
 the protocol, mirroring the paper's Definition 3 game.
+
+Every modular exponentiation here is issued through
+:func:`repro.engine.engine.exp_many` — one small engine batch per group of
+powers that do not depend on each other — so it is counted under
+``paillier.exp`` and served by the engine kernel's fixed-base tables: the
+exponent-check base ``v^Δ`` recurs in every partial-decryption and
+resharing proof of a run.  The values are those of ``builtins.pow``.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from __future__ import annotations
 import secrets
 from dataclasses import dataclass
 
+from repro.engine.engine import exp_many
 from repro.errors import ParameterError
 from repro.nizk.params import DEFAULT_PARAMS, ProofParams
 from repro.nizk.transcript import FiatShamirTranscript
@@ -58,10 +66,12 @@ class PlaintextKnowledgeProof:
         mask_bound = n << (params.challenge_bits + params.statistical_bits)
         s = _randbelow(mask_bound, rng)
         u = public.random_unit(rng)
-        commitment = (1 + s % n2 * n) % n2 * pow(u, n, n2) % n2
+        (u_pow,) = exp_many([(u, n, n2)])
+        commitment = (1 + s % n2 * n) % n2 * u_pow % n2
         e = cls._challenge(public, ciphertext, commitment, params, context)
         z = s + e * (message % n)
-        w = u * pow(randomness, e, n) % n
+        (r_pow,) = exp_many([(randomness, e, n)])
+        w = u * r_pow % n
         return cls(commitment, z, w)
 
     def verify(
@@ -75,9 +85,11 @@ class PlaintextKnowledgeProof:
         if not (0 < self.commitment < n2 and 0 < self.response_unit < n):
             return False
         e = self._challenge(public, ciphertext, self.commitment, params, context)
-        lhs = (1 + self.response_exponent % n2 * n) % n2
-        lhs = lhs * pow(self.response_unit, n, n2) % n2
-        rhs = self.commitment * pow(ciphertext.value, e, n2) % n2
+        w_pow, c_pow = exp_many([
+            (self.response_unit, n, n2), (ciphertext.value, e, n2),
+        ])
+        lhs = (1 + self.response_exponent % n2 * n) % n2 * w_pow % n2
+        rhs = self.commitment * c_pow % n2
         return lhs == rhs
 
     @classmethod
@@ -94,8 +106,8 @@ class PlaintextKnowledgeProof:
         n, n2 = public.n, public.n_squared
         z = _randbelow(n << (params.challenge_bits + params.statistical_bits), rng)
         w = public.random_unit(rng)
-        lhs = (1 + z % n2 * n) % n2 * pow(w, n, n2) % n2
-        commitment = lhs * pow(ciphertext.value, -challenge, n2) % n2
+        w_pow, c_pow = exp_many([(w, n, n2), (ciphertext.value, -challenge, n2)])
+        commitment = (1 + z % n2 * n) % n2 * w_pow % n2 * c_pow % n2
         return commitment, z, w
 
     @classmethod
@@ -137,11 +149,12 @@ class MultiplicationProof:
         mask_bound = n << (params.challenge_bits + params.statistical_bits)
         s = _randbelow(mask_bound, rng)
         u = public.random_unit(rng)
-        a1 = (1 + s % n2 * n) % n2 * pow(u, n, n2) % n2
-        a2 = pow(c_a.value, s, n2)
+        u_pow, a2 = exp_many([(u, n, n2), (c_a.value, s, n2)])
+        a1 = (1 + s % n2 * n) % n2 * u_pow % n2
         e = cls._challenge(public, c_a, c_b, c_c, a1, a2, params, context)
         z = s + e * (b % n)
-        w = u * pow(randomness, e, n) % n
+        (r_pow,) = exp_many([(randomness, e, n)])
+        w = u * r_pow % n
         return cls(a1, a2, z, w)
 
     def verify(
@@ -163,10 +176,12 @@ class MultiplicationProof:
             params, context,
         )
         z, w = self.response_exponent, self.response_unit
-        lhs1 = (1 + z % n2 * n) % n2 * pow(w, n, n2) % n2
-        rhs1 = self.commitment_enc * pow(c_b.value, e, n2) % n2
-        lhs2 = pow(c_a.value, z, n2)
-        rhs2 = self.commitment_mult * pow(c_c.value, e, n2) % n2
+        w_pow, b_pow, lhs2, c_pow = exp_many([
+            (w, n, n2), (c_b.value, e, n2), (c_a.value, z, n2), (c_c.value, e, n2),
+        ])
+        lhs1 = (1 + z % n2 * n) % n2 * w_pow % n2
+        rhs1 = self.commitment_enc * b_pow % n2
+        rhs2 = self.commitment_mult * c_pow % n2
         return lhs1 == rhs1 and lhs2 == rhs2
 
     @classmethod
@@ -202,13 +217,11 @@ class PartialDecryptionProof:
         rng=None,
     ) -> "PartialDecryptionProof":
         n2 = tpk.n_squared
-        base_c = pow(ciphertext.value, 4 * tpk.delta, n2)
-        base_v = pow(tpk.verification_base, tpk.delta, n2)
+        base_c, base_v = cls._bases(tpk, ciphertext)
         witness_bits = abs(share.value).bit_length() + 1
         mask_bound = 1 << (witness_bits + params.challenge_bits + params.statistical_bits)
         w = _randbelow(mask_bound, rng)
-        t1 = pow(base_c, w, n2)
-        t2 = pow(base_v, w, n2)
+        t1, t2 = exp_many([(base_c, w, n2), (base_v, w, n2)])
         e = cls._challenge(tpk, ciphertext, partial, share.verification, t1, t2, params)
         z = w + e * share.value
         return cls(t1, t2, z)
@@ -224,17 +237,18 @@ class PartialDecryptionProof:
         n2 = tpk.n_squared
         if not (0 < self.commitment_cipher < n2 and 0 < self.commitment_verif < n2):
             return False
-        base_c = pow(ciphertext.value, 4 * tpk.delta, n2)
-        base_v = pow(tpk.verification_base, tpk.delta, n2)
+        base_c, base_v = self._bases(tpk, ciphertext)
         e = self._challenge(
             tpk, ciphertext, partial, verification_value,
             self.commitment_cipher, self.commitment_verif, params,
         )
         z = self.response
-        lhs1 = pow(base_c, z, n2)
-        rhs1 = self.commitment_cipher * pow(pow(partial.value, 2, n2), e, n2) % n2
-        lhs2 = pow(base_v, z, n2)
-        rhs2 = self.commitment_verif * pow(verification_value, e, n2) % n2
+        lhs1, p_pow, lhs2, v_pow = exp_many([
+            (base_c, z, n2), (partial.value * partial.value % n2, e, n2),
+            (base_v, z, n2), (verification_value, e, n2),
+        ])
+        rhs1 = self.commitment_cipher * p_pow % n2
+        rhs2 = self.commitment_verif * v_pow % n2
         return lhs1 == rhs1 and lhs2 == rhs2
 
     @classmethod
@@ -250,14 +264,25 @@ class PartialDecryptionProof:
         rng=None,
     ) -> tuple[int, int, int, int]:
         n2 = tpk.n_squared
-        base_c = pow(ciphertext.value, 4 * tpk.delta, n2)
-        base_v = pow(tpk.verification_base, tpk.delta, n2)
+        base_c, base_v = cls._bases(tpk, ciphertext)
         z = _randbelow(
             1 << (witness_bits + params.challenge_bits + params.statistical_bits), rng
         )
-        t1 = pow(base_c, z, n2) * pow(pow(partial.value, 2, n2), -challenge, n2) % n2
-        t2 = pow(base_v, z, n2) * pow(verification_value, -challenge, n2) % n2
-        return t1, t2, challenge, z
+        c_pow, p_pow, v_pow, k_pow = exp_many([
+            (base_c, z, n2), (partial.value * partial.value % n2, -challenge, n2),
+            (base_v, z, n2), (verification_value, -challenge, n2),
+        ])
+        return c_pow * p_pow % n2, v_pow * k_pow % n2, challenge, z
+
+    @staticmethod
+    def _bases(tpk, ciphertext) -> tuple[int, int]:
+        """``(c^{4Δ}, v^Δ)``, the two bases of the discrete-log equality."""
+        n2 = tpk.n_squared
+        base_c, base_v = exp_many([
+            (ciphertext.value, 4 * tpk.delta, n2),
+            (tpk.verification_base, tpk.delta, n2),
+        ])
+        return base_c, base_v
 
     @classmethod
     def _challenge(cls, tpk, ciphertext, partial, verification_value, t1, t2, params):
@@ -307,13 +332,14 @@ class PlaintextDlogEqualityProof:
         mask_bound = n << (params.challenge_bits + params.statistical_bits)
         s = _randbelow(mask_bound, rng)
         u = public.random_unit(rng)
-        a1 = (1 + s % n2 * n) % n2 * pow(u, n, n2) % n2
-        a2 = pow(base, s, dlog_modulus)
+        u_pow, a2 = exp_many([(u, n, n2), (base, s, dlog_modulus)])
+        a1 = (1 + s % n2 * n) % n2 * u_pow % n2
         e = cls._challenge(
             public, ciphertext, base, dlog_modulus, dlog_value, a1, a2, params
         )
         z = s + e * x
-        w = u * pow(randomness, e, n) % n
+        (r_pow,) = exp_many([(randomness, e, n)])
+        w = u * r_pow % n
         return cls(a1, a2, z, w)
 
     def verify(
@@ -328,15 +354,20 @@ class PlaintextDlogEqualityProof:
         n, n2 = public.n, public.n_squared
         if not (0 < self.commitment_enc < n2 and 0 < self.response_unit < n):
             return False
+        if not 0 < self.commitment_dlog < dlog_modulus:
+            return False
         e = self._challenge(
             public, ciphertext, base, dlog_modulus, dlog_value,
             self.commitment_enc, self.commitment_dlog, params,
         )
         z, w = self.response_exponent, self.response_unit
-        lhs1 = (1 + z % n2 * n) % n2 * pow(w, n, n2) % n2
-        rhs1 = self.commitment_enc * pow(ciphertext.value, e, n2) % n2
-        lhs2 = pow(base, z, dlog_modulus)
-        rhs2 = self.commitment_dlog * pow(dlog_value, e, dlog_modulus) % dlog_modulus
+        w_pow, c_pow, lhs2, v_pow = exp_many([
+            (w, n, n2), (ciphertext.value, e, n2),
+            (base, z, dlog_modulus), (dlog_value, e, dlog_modulus),
+        ])
+        lhs1 = (1 + z % n2 * n) % n2 * w_pow % n2
+        rhs1 = self.commitment_enc * c_pow % n2
+        rhs2 = self.commitment_dlog * v_pow % dlog_modulus
         return lhs1 == rhs1 and lhs2 == rhs2
 
     @classmethod

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import secrets
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import EncryptionError, ParameterError
 from repro.observability import hooks as _hooks
@@ -105,17 +106,30 @@ class PaillierSecretKey:
         g = _gcd(self.p - 1, self.q - 1)
         return (self.p - 1) * (self.q - 1) // g
 
+    @cached_property
+    def _crt(self) -> tuple[int, int, int, int, int]:
+        """``(p², q², h_p, h_q, p⁻¹ mod q)`` with ``h_p = L_p((1+N)^(p-1))⁻¹``.
+
+        ``(1+N)^(p-1) ≡ 1 + (p-1)·pq (mod p²)``, so ``L_p`` of it is
+        ``-q mod p`` — no exponentiation needed (and likewise for q).
+        """
+        p, q = self.p, self.q
+        return p * p, q * q, pow(-q, -1, p), pow(-p, -1, q), pow(p, -1, q)
+
     def decrypt(self, ciphertext: "PaillierCiphertext") -> int:
-        """Standard CRT-free decryption via λ."""
+        """CRT decryption: the plaintext mod p from ``c^(p-1) mod p²``, mod q
+        from ``c^(q-1) mod q²``, recombined — the plaintext of the textbook
+        ``L(c^λ mod N²)·λ⁻¹`` formula at about a third of its cost (two
+        exponentiations with half the modulus and half the exponent)."""
         if ciphertext.public != self.public:
             raise EncryptionError("ciphertext under a different key")
-        n, n2 = self.public.n, self.public.n_squared
-        lam = self.lam
-        u = pow(ciphertext.value, lam, n2)
-        ell = _L(u, n)
+        p, q = self.p, self.q
+        p2, q2, h_p, h_q, p_inv = self._crt
+        m_p = _L(pow(ciphertext.value, p - 1, p2), p) * h_p % p
+        m_q = _L(pow(ciphertext.value, q - 1, q2), q) * h_q % q
         _hooks.note(_hooks.PAILLIER_DECRYPT)
         _hooks.note(_hooks.PAILLIER_EXP)
-        return ell * pow(lam, -1, n) % n
+        return m_p + p * ((m_q - m_p) * p_inv % q)
 
     def extract_randomness(self, ciphertext: "PaillierCiphertext") -> int:
         """Recover the encryption randomness r (possible with the sk)."""

@@ -215,8 +215,7 @@ class ThresholdPaillier:
         values = [
             _eval_int_poly(coefficients, i) for i in range(1, n_parties + 1)
         ]
-        # Same base v for every verification value: one engine batch, and
-        # the serial kernel shares a fixed-base chain at realistic sizes.
+        # Same base v for every verification value: one engine batch.
         verifications = _active_engine().pow_many(
             [(v, delta * value, n2) for value in values]
         )

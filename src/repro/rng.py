@@ -10,7 +10,8 @@ hatch that demos and ad-hoc CLI invocations use.
 
 Use :func:`seeded_rng` when a seed is in hand, :func:`derive_rng` to
 fork an independent stream from a parent seed (two call sites must not
-share one generator across interleaving orders), and :func:`fresh_rng`
+share one generator across interleaving orders), :func:`fork_rng` to
+draw from a run's generator without advancing it, and :func:`fresh_rng`
 only where nondeterminism is the *requested* behaviour.
 """
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import random
 
-__all__ = ["seeded_rng", "derive_rng", "fresh_rng"]
+__all__ = ["seeded_rng", "derive_rng", "fork_rng", "fresh_rng"]
 
 
 def seeded_rng(seed: int) -> random.Random:
@@ -37,6 +38,18 @@ def derive_rng(seed: int, *labels: int | str) -> random.Random:
     material = ":".join([str(seed), *map(str, labels)])
     digest = hashlib.sha256(material.encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
+
+
+def fork_rng(parent: random.Random) -> random.Random:
+    """A generator at ``parent``'s current state; ``parent`` is not advanced.
+
+    For a value that must descend from the run's seed but was added after
+    transcripts were pinned: drawing it from a fork leaves every other
+    draw of the run where it was.
+    """
+    fork = random.Random(0)
+    fork.setstate(parent.getstate())
+    return fork
 
 
 def fresh_rng(seed: int | None = None) -> random.Random:

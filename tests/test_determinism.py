@@ -2,8 +2,18 @@
 
 import random
 
+import pytest
+
+from repro.baselines import CdnYosoMpc
 from repro.circuits import dot_product_circuit
 from repro.core import ProtocolParams, YosoMpc, run_mpc
+from repro.engine import engine as engine_mod
+from repro.engine import jobs as jobs_mod
+from repro.service import MpcService, ServiceClient
+
+
+def _board_bytes(bulletin) -> list[bytes]:
+    return [post.encoded for post in bulletin]
 
 
 class TestDeterminism:
@@ -14,10 +24,9 @@ class TestDeterminism:
         b = run_mpc(circuit, inputs, n=4, epsilon=0.2, seed=7)
         assert a.outputs == b.outputs
         assert a.setup.tpk.n == b.setup.tpk.n
-        assert [r.n_bytes for r in a.meter.records] == [
-            r.n_bytes for r in b.meter.records
-        ]
-        assert [r.tag for r in a.meter.records] == [r.tag for r in b.meter.records]
+        assert [p.tag for p in a.bulletin] == [p.tag for p in b.bulletin]
+        assert _board_bytes(a.bulletin) == _board_bytes(b.bulletin)
+        assert all(encoded is not None for encoded in _board_bytes(a.bulletin))
 
     def test_different_seeds_different_keys(self):
         circuit = dot_product_circuit(2)
@@ -38,3 +47,56 @@ class TestDeterminism:
         one = YosoMpc(params, rng=random.Random(5)).run(circuit, inputs)
         two = YosoMpc(params, rng=random.Random(5)).run(circuit, inputs)
         assert one.outputs == two.outputs == {"alice": [12]}
+
+
+# -- the fixed-base table store never changes a byte ---------------------------
+#
+# 128-bit keys: N² has 256 bits, above the store's modulus floor, so the
+# Σ-proofs' shared base v^Δ does earn a table in the runs below (asserted).
+
+def _core_board():
+    circuit = dot_product_circuit(2)
+    params = ProtocolParams.from_gap(4, 0.2, te_bits=128, role_key_bits=128)
+    result = YosoMpc(params, rng=random.Random(21)).run(
+        circuit, {"alice": [3, 1], "bob": [4, 1]}
+    )
+    assert result.outputs == {"alice": [13]}
+    return _board_bytes(result.bulletin)
+
+
+def _cdn_board():
+    circuit = dot_product_circuit(2)
+    result = CdnYosoMpc(n=5, t=1, te_bits=128, rng=random.Random(22)).run(
+        circuit, {"alice": [3, 1], "bob": [4, 1]}
+    )
+    assert result.outputs == {"alice": [13]}
+    return _board_bytes(result.bulletin)
+
+
+def _service_boards():
+    rng = random.Random(23)
+    with MpcService(workload="statistics", statistics_groups=2, te_bits=128,
+                    role_key_bits=128, seed=24) as svc:
+        announcement = svc.open_epoch()
+        for i in range(6):
+            client = ServiceClient(f"client-{i}", announcement, rng=rng)
+            svc.submit(client.build_input(rng.randrange(50)))
+        svc.ingest()
+        summary = svc.close_epoch()
+        outer = _board_bytes(svc.board)
+    return outer + _board_bytes(summary.inner_result.bulletin)
+
+
+@pytest.mark.parametrize("board", [_core_board, _cdn_board, _service_boards])
+def test_board_bytes_identical_with_and_without_tables(board, monkeypatch):
+    jobs_mod.clear_tables()
+    with_tables = board()
+    assert jobs_mod._TABLES.table_bytes > 0, "the run never built a table"
+    monkeypatch.setattr(
+        engine_mod, "compute_pows",
+        lambda jobs: [pow(base, e, m) for base, e, m in jobs],
+    )
+    jobs_mod.clear_tables()
+    plain = board()
+    assert jobs_mod._TABLES.table_bytes == 0
+    assert plain == with_tables

@@ -10,9 +10,11 @@ exactly that on a full protocol run.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine import (
-    FixedBaseCache,
+    FixedBaseStore,
+    FixedBaseTable,
     ProcessPoolEngine,
     SerialEngine,
     chunk_jobs,
@@ -25,7 +27,8 @@ from repro.engine import (
     teval_many,
 )
 from repro.engine import engine as engine_mod
-from repro.engine.jobs import FIXEDBASE_MIN_BITS
+from repro.engine import fixedbase
+from repro.engine import jobs as jobs_mod
 from repro.errors import EncryptionError, ParameterError
 from repro.observability import hooks as _hooks
 from repro.observability.tracer import Tracer
@@ -40,31 +43,237 @@ def _jobs(count, rng, bits=384):
     ]
 
 
-class TestFixedBaseCache:
-    def test_matches_builtin_pow(self, rng):
-        modulus = (1 << 389) - 21  # any odd modulus works
-        base = rng.getrandbits(380) % modulus
-        cache = FixedBaseCache(base, modulus)
-        for _ in range(20):
-            exponent = rng.getrandbits(rng.randrange(1, 300))
-            assert cache.pow(exponent) == pow(base, exponent, modulus)
+def _outcome(power, *args):
+    """A ``pow`` call as a value: its result, or the ValueError it raises."""
+    try:
+        return power(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
 
-    def test_zero_and_one(self):
-        cache = FixedBaseCache(7, 1000003)
-        assert cache.pow(0) == 1
-        assert cache.pow(1) == 7
 
-    def test_negative_exponent(self):
-        modulus = 1000003  # prime, so 7 is invertible
-        cache = FixedBaseCache(7, modulus)
-        assert cache.pow(-12345) == pow(7, -12345, modulus)
+_moduli = st.integers(min_value=1, max_value=1 << 300).flatmap(
+    # odd and even, positive and negative — everything but zero
+    lambda m: st.sampled_from([m, -m])
+)
+_exponents = st.one_of(
+    st.integers(min_value=0, max_value=64),
+    st.integers(min_value=0, max_value=1 << 420),
+    st.integers(min_value=-(1 << 200), max_value=-1),
+)
 
-    def test_cache_grows_lazily(self):
-        cache = FixedBaseCache(3, (1 << 127) - 1)
-        cache.pow(1 << 4)
-        small = len(cache._squares)
-        cache.pow(1 << 60)
-        assert len(cache._squares) > small
+
+class TestFixedBaseTable:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        base=st.one_of(
+            st.sampled_from([0, 1]), st.integers(min_value=0, max_value=1 << 320)
+        ),
+        modulus=_moduli,
+        window=st.integers(min_value=1, max_value=8),
+        exponents=st.lists(_exponents, min_size=1, max_size=6),
+    )
+    def test_matches_builtin_pow(self, base, modulus, window, exponents):
+        # One table serves the whole list, so later exponents meet rows
+        # built for earlier ones and (when longer) make it grow.
+        table = FixedBaseTable(base, modulus, window)
+        for exponent in exponents:
+            assert _outcome(table.pow, exponent) == _outcome(
+                pow, base, exponent, modulus
+            )
+
+    def test_zero_exponent_and_trivial_bases(self):
+        for modulus in (1, 2, 1000003, 1 << 64, -15):
+            for base in (0, 1, modulus, modulus + 1):
+                table = FixedBaseTable(base, modulus, 4)
+                for exponent in (0, 1, 2, 1 << 70):
+                    assert table.pow(exponent) == pow(base, exponent, modulus)
+
+    def test_negative_exponent_with_and_without_inverse(self):
+        invertible = FixedBaseTable(7, 1000003 * 1000033, 3)
+        assert invertible.pow(-12345) == pow(7, -12345, 1000003 * 1000033)
+        stuck = FixedBaseTable(1000003 * 5, 1000003 * 1000033, 3)
+        with pytest.raises(ValueError) as builtin:
+            pow(1000003 * 5, -3, 1000003 * 1000033)
+        with pytest.raises(ValueError) as ours:
+            stuck.pow(-3)
+        assert str(ours.value) == str(builtin.value)
+
+    def test_zero_modulus_rejected_like_the_builtin(self):
+        with pytest.raises(ValueError) as builtin:
+            pow(3, 5, 0)
+        with pytest.raises(ValueError) as ours:
+            FixedBaseTable(3, 0, 4)
+        assert str(ours.value) == str(builtin.value)
+
+    def test_rows_grow_to_the_longest_exponent_seen(self):
+        modulus = (1 << 127) - 1
+        table = FixedBaseTable(3, modulus, 4)
+        assert table.rows == [] and table.nbytes == 0
+        table.pow(1 << 15)
+        assert len(table.rows) == 4 and table.bits == 16
+        before = table.nbytes
+        longer = (1 << 200) | 12345
+        assert table.pow(longer) == pow(3, longer, modulus)
+        assert len(table.rows) == 51 and table.nbytes > before
+        # ... and a short exponent afterwards needs no more.
+        table.pow(77)
+        assert len(table.rows) == 51
+
+    def test_layout(self):
+        modulus, window = 1000003, 3
+        table = FixedBaseTable(5, modulus, window)
+        table.grow(12)
+        for i, row in enumerate(table.rows):
+            assert row == [
+                pow(5, d << (window * i), modulus) for d in range(1 << window)
+            ]
+
+
+def _big_modulus(rng, bits=256):
+    return rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+
+
+def _long_exponent(rng, bits=160):
+    return rng.getrandbits(bits) | (1 << (bits - 1))
+
+
+class TestFixedBaseStore:
+    def test_promotion_and_widening_exactly_at_the_thresholds(self, rng):
+        modulus = _big_modulus(rng)
+        base = rng.randrange(modulus)
+        store = FixedBaseStore()
+        for sighting in range(1, fixedbase.WIDEN_SIGHTINGS + 10):
+            exponent = _long_exponent(rng)
+            assert store.pow(base, exponent, modulus) == pow(base, exponent, modulus)
+            assert store.sightings(base, modulus) == sighting
+            table = store.table(base, modulus)
+            if sighting < fixedbase.PROMOTE_SIGHTINGS:
+                assert table is None
+            elif sighting < fixedbase.WIDEN_SIGHTINGS:
+                assert table.window == fixedbase.PROMOTE_WINDOW
+            else:
+                assert table.window == fixedbase.WIDEN_WINDOW
+            assert store.table_bytes == (table.nbytes if table else 0)
+
+    def test_small_modulus_and_small_exponent_bypass(self, rng):
+        store = FixedBaseStore()
+        small_modulus = _big_modulus(rng, fixedbase.MIN_MODULUS_BITS - 1)
+        modulus = _big_modulus(rng)
+        for _ in range(fixedbase.PROMOTE_SIGHTINGS + 5):
+            long_e = _long_exponent(rng)
+            short_e = rng.getrandbits(fixedbase.MIN_EXPONENT_BITS - 1)
+            assert store.pow(5, long_e, small_modulus) == pow(5, long_e, small_modulus)
+            assert store.pow(5, short_e, modulus) == pow(5, short_e, modulus)
+        assert store.sightings(5, small_modulus) == 0
+        assert store.sightings(5, modulus) == 0
+        assert store.table_bytes == 0
+
+    def test_sighting_counts_are_an_lru(self, rng, monkeypatch):
+        monkeypatch.setattr(fixedbase, "SIGHTING_KEYS", 4)
+        modulus = _big_modulus(rng)
+        store = FixedBaseStore()
+        exponent = _long_exponent(rng)
+        for base in (2, 3, 4, 5):
+            store.pow(base, exponent, modulus)
+        store.pow(2, exponent, modulus)       # 2 is now the most recent
+        store.pow(6, exponent, modulus)       # pushes out 3, the oldest
+        assert store.sightings(3, modulus) == 0
+        assert store.sightings(2, modulus) == 2
+        assert [store.sightings(b, modulus) for b in (4, 5, 6)] == [1, 1, 1]
+
+    def test_lru_eviction_under_the_byte_budget(self, rng, monkeypatch):
+        modulus = _big_modulus(rng)
+        one_table = fixedbase.table_bytes(160, fixedbase.PROMOTE_WINDOW, modulus)
+        # Room for two promoted tables, not three.
+        monkeypatch.setattr(fixedbase, "TABLE_BUDGET_BYTES", 2 * one_table + 1)
+        store = FixedBaseStore()
+
+        def promote(base):
+            for _ in range(fixedbase.PROMOTE_SIGHTINGS):
+                exponent = _long_exponent(rng)
+                assert store.pow(base, exponent, modulus) == pow(
+                    base, exponent, modulus
+                )
+
+        promote(11)
+        promote(13)
+        assert store.table(11, modulus) and store.table(13, modulus)
+        assert store.table_bytes == 2 * one_table
+        store.pow(11, _long_exponent(rng), modulus)   # 13 is now the older
+        promote(17)
+        assert store.table(13, modulus) is None
+        assert store.sightings(13, modulus) == 0      # must re-earn its table
+        assert store.table(11, modulus) and store.table(17, modulus)
+        assert store.table_bytes <= fixedbase.TABLE_BUDGET_BYTES
+
+    def test_window_narrows_to_fit_half_the_budget(self, rng, monkeypatch):
+        modulus = _big_modulus(rng)
+        narrow = fixedbase.table_bytes(160, 2, modulus)
+        monkeypatch.setattr(fixedbase, "TABLE_BUDGET_BYTES", 2 * narrow)
+        store = FixedBaseStore()
+        for _ in range(fixedbase.PROMOTE_SIGHTINGS):
+            exponent = _long_exponent(rng)
+            assert store.pow(9, exponent, modulus) == pow(9, exponent, modulus)
+        table = store.table(9, modulus)
+        assert table.window == 2
+        # An exponent whose rows would not fit is answered natively and
+        # leaves the table as it was.
+        rows = len(table.rows)
+        huge = _long_exponent(rng, 2000)
+        assert store.pow(9, huge, modulus) == pow(9, huge, modulus)
+        assert len(table.rows) == rows
+        assert store.table_bytes <= fixedbase.TABLE_BUDGET_BYTES // 2
+
+    def test_no_table_when_nothing_fits(self, rng, monkeypatch):
+        monkeypatch.setattr(fixedbase, "TABLE_BUDGET_BYTES", 64)
+        modulus = _big_modulus(rng)
+        store = FixedBaseStore()
+        for _ in range(fixedbase.PROMOTE_SIGHTINGS + 3):
+            exponent = _long_exponent(rng)
+            assert store.pow(9, exponent, modulus) == pow(9, exponent, modulus)
+        assert store.table(9, modulus) is None and store.table_bytes == 0
+
+    def test_negative_exponents_through_a_promoted_table(self, rng):
+        p, q = (1 << 127) - 1, (1 << 89) - 1
+        modulus = p * q
+        store = FixedBaseStore()
+        for base in (7, p * 3):                       # invertible, and not
+            for _ in range(fixedbase.PROMOTE_SIGHTINGS + 4):
+                exponent = -_long_exponent(rng)
+                assert _outcome(store.pow, base, exponent, modulus) == _outcome(
+                    pow, base, exponent, modulus
+                )
+            assert store.table(base, modulus) is not None
+        assert store.table_bytes == sum(
+            store.table(base, modulus).nbytes for base in (7, p * 3)
+        )
+
+    def test_clear(self, rng):
+        modulus = _big_modulus(rng)
+        store = FixedBaseStore()
+        for _ in range(fixedbase.PROMOTE_SIGHTINGS):
+            store.pow(3, _long_exponent(rng), modulus)
+        assert store.table_bytes > 0
+        store.clear()
+        assert store.table_bytes == 0
+        assert store.table(3, modulus) is None and store.sightings(3, modulus) == 0
+
+
+def _mixed_jobs(rng):
+    """Repeated and one-off bases, long and short exponents (negative ones
+    too), moduli above and below the table floor."""
+    modulus = _big_modulus(rng, 384)
+    small = _big_modulus(rng, 96)
+    hot = rng.randrange(modulus)
+    jobs = []
+    for i in range(120):
+        jobs.append((hot, _long_exponent(rng, 300), modulus))
+        jobs.append((rng.randrange(modulus), _long_exponent(rng, 300), modulus))
+        jobs.append((hot, rng.getrandbits(40), modulus))
+        jobs.append((hot % small, _long_exponent(rng, 200), small))
+        if i % 10 == 0:
+            jobs.append((hot | 1, -_long_exponent(rng, 120), (1 << 255) - 19))
+    return hot, modulus, jobs
 
 
 class TestComputePows:
@@ -73,16 +282,31 @@ class TestComputePows:
         assert compute_pows(jobs) == [pow(b, e, m) for b, e, m in jobs]
 
     def test_repeated_base_uses_cache_and_matches(self, rng):
-        modulus = (1 << FIXEDBASE_MIN_BITS) + 7
-        base = 123456789
-        jobs = [(base, rng.getrandbits(128), modulus) for _ in range(10)]
+        hot, modulus, jobs = _mixed_jobs(rng)
+        jobs_mod.clear_tables()
         assert compute_pows(jobs) == [pow(b, e, m) for b, e, m in jobs]
+        assert jobs_mod._TABLES.table(hot, modulus) is not None
+        # The table outlives the batch: a later batch starts on it.
+        sightings = jobs_mod._TABLES.sightings(hot, modulus)
+        later = [(hot, _long_exponent(rng, 300), modulus)]
+        assert compute_pows(later) == [pow(*later[0])]
+        assert jobs_mod._TABLES.sightings(hot, modulus) == sightings + 1
 
     def test_small_moduli_never_cached(self, rng):
-        # Below the bit floor the native pow path must be taken; results
-        # are identical either way, so just pin the equality.
-        jobs = [(5, rng.getrandbits(32), 10007) for _ in range(10)]
+        # Below the bit floor the kernel does not even count sightings.
+        jobs = [(5, rng.getrandbits(200), 10007) for _ in range(40)]
+        jobs_mod.clear_tables()
         assert compute_pows(jobs) == [pow(b, e, m) for b, e, m in jobs]
+        assert jobs_mod._TABLES.sightings(5, 10007) == 0
+        assert jobs_mod._TABLES.table_bytes == 0
+
+    def test_a_run_starts_with_an_empty_store(self, rng):
+        hot, modulus, jobs = _mixed_jobs(rng)
+        compute_pows(jobs)
+        assert jobs_mod._TABLES.table_bytes > 0
+        with engine_mod.activated(SerialEngine()):
+            assert jobs_mod._TABLES.table_bytes == 0
+            assert jobs_mod._TABLES.sightings(hot, modulus) == 0
 
     def test_run_pow_chunk_is_compute_pows(self, rng):
         jobs = _jobs(8, rng)
@@ -118,6 +342,17 @@ class TestEngines:
         jobs = _jobs(64, rng)
         with ProcessPoolEngine(workers=2, min_parallel=1) as pool:
             assert pool.pow_many(jobs) == SerialEngine().pow_many(jobs)
+
+    def test_pool_matches_serial_on_a_mixed_batch(self, rng):
+        # Each worker promotes the repeated base in its own store, on its
+        # own share of the sightings; the values cannot tell.
+        _, _, jobs = _mixed_jobs(rng)
+        expected = [pow(b, e, m) for b, e, m in jobs]
+        with ProcessPoolEngine(workers=2) as pool:
+            assert pool.pow_many(jobs) == expected
+            assert pool.pow_many(jobs) == expected    # warm worker stores
+            assert "ok" in pool.describe()
+        assert SerialEngine().pow_many(jobs) == expected
 
     def test_small_batch_stays_in_process(self, rng):
         jobs = _jobs(4, rng)

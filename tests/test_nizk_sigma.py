@@ -206,6 +206,43 @@ class TestPlaintextDlogEquality:
             pk, pk.encrypt(x + 1, rng=rng), base, n2, pow(base, x, n2), PARAMS
         )
 
+    def test_non_canonical_dlog_commitment_rejected(self, keys, tkeys, rng):
+        """``commitment_dlog`` must lie in (0, M): a prover who derives the
+        challenge from ``a2 + M`` satisfies both equations, and must still
+        be refused — like every other out-of-range field."""
+        pk = keys.public
+        tpk, _ = tkeys
+        n, n2 = pk.n, pk.n_squared
+        modulus = tpk.n_squared
+        base = pow(tpk.verification_base, tpk.delta, modulus)
+        x = 31337
+        value = pow(base, x, modulus)
+        r = pk.random_unit(rng)
+        c = pk.encrypt(x, randomness=r)
+        s = rng.randrange(n << (PARAMS.challenge_bits + PARAMS.statistical_bits))
+        u = pk.random_unit(rng)
+        a1 = (1 + s % n2 * n) % n2 * pow(u, n, n2) % n2
+
+        def forged(a2):
+            e = PlaintextDlogEqualityProof._challenge(
+                pk, c, base, modulus, value, a1, a2, PARAMS
+            )
+            return PlaintextDlogEqualityProof(
+                a1, a2, s + e * x, u * pow(r, e, n) % n
+            )
+
+        a2 = pow(base, s, modulus)
+        assert forged(a2).verify(pk, c, base, modulus, value, PARAMS)
+        assert not forged(a2 + modulus).verify(pk, c, base, modulus, value, PARAMS)
+        assert not forged(a2 - modulus).verify(pk, c, base, modulus, value, PARAMS)
+        honest = forged(a2)
+        for bad in (0, modulus):
+            mutated = PlaintextDlogEqualityProof(
+                honest.commitment_enc, bad, honest.response_exponent,
+                honest.response_unit,
+            )
+            assert not mutated.verify(pk, c, base, modulus, value, PARAMS)
+
     def test_witness_range_enforced(self, keys, tkeys, rng):
         pk = keys.public
         tpk, _ = tkeys

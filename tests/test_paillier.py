@@ -146,3 +146,46 @@ def test_homomorphism_property(m1, m2, s):
     pk, sk = kp.public, kp.secret
     c = pk.encrypt(m1) * s + pk.encrypt(m2)
     assert sk.decrypt(c) == (m1 * s + m2) % pk.n
+
+
+def _decrypt_by_lambda(sk, ciphertext):
+    """The textbook formula ``L(c^λ mod N²)·λ⁻¹ mod N`` — the oracle the
+    CRT decryption is checked against."""
+    n, n2 = sk.public.n, sk.public.n_squared
+    u = pow(ciphertext.value, sk.lam, n2)
+    assert (u - 1) % n == 0
+    return (u - 1) // n * pow(sk.lam, -1, n) % n
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    bits=st.sampled_from([64, 128, 256]),
+    which=st.integers(min_value=0, max_value=1),
+    fraction=st.one_of(
+        st.sampled_from([(0, 1), (1, 1)]),            # m = 0 and m = N - 1
+        st.tuples(st.integers(0, 1 << 64), st.just(1 << 64)),
+    ),
+    seed=st.integers(min_value=0, max_value=1 << 32),
+)
+def test_crt_decryption_matches_the_lambda_formula(bits, which, fraction, seed):
+    kp = generate_keypair(bits, fixture_index=which)
+    pk, sk = kp.public, kp.secret
+    m = (pk.n - 1) * fraction[0] // fraction[1]
+    c = pk.encrypt(m, rng=random.Random(seed))
+    assert sk.decrypt(c) == _decrypt_by_lambda(sk, c) == m
+    # ... and on a ciphertext that is no encryption we made: any unit of
+    # Z*_{N²} decrypts to the same plaintext under both formulas.
+    shifted = c * 3 + (pk.n - 5)
+    assert sk.decrypt(shifted) == _decrypt_by_lambda(sk, shifted) == (3 * m - 5) % pk.n
+    assert pk.encrypt(m, randomness=sk.extract_randomness(c)) == c
+
+
+def test_crt_decryption_with_primes_that_are_not_safe():
+    # gcd(p-1, q-1) = 6: λ is a proper divisor of (p-1)(q-1)/2.
+    kp = keypair_from_primes(1000003, 1000033)
+    pk, sk = kp.public, kp.secret
+    for m in (0, 1, 123456789, pk.n - 1):
+        c = pk.encrypt(m, randomness=999331)
+        assert sk.decrypt(c) == _decrypt_by_lambda(sk, c) == m
+    with pytest.raises(EncryptionError):
+        sk.decrypt(PaillierCiphertext(pk, 1000003 * 7))   # not a unit mod N
