@@ -8,11 +8,11 @@ extrapolation shows what Table 1's committees would pay per gate at
 production moduli — the regime no simulation can reach.
 """
 
-from repro.accounting import (
+from repro.accounting import format_table
+from repro.accounting.symbolic import (
     CircuitShape,
-    CostModel,
-    extrapolate_online_per_gate,
-    format_table,
+    SymbolicCostModel,
+    extrapolated_mu_bytes_per_gate,
 )
 from repro.sortition import analyze
 
@@ -23,7 +23,7 @@ def test_model_vs_measurement(benchmark, ours_sweep, sweep_circuit):
     def validate():
         rows = []
         for n, result in ours_sweep.items():
-            model = CostModel(
+            model = SymbolicCostModel(
                 result.params,
                 CircuitShape.of(sweep_circuit, result.plan),
                 result.setup.proof_params,
@@ -45,55 +45,21 @@ def test_model_vs_measurement(benchmark, ours_sweep, sweep_circuit):
 
 
 def test_extrapolation_to_table1_scales(benchmark):
-    """Per-gate online bytes at the paper's own committee sizes (2048-bit).
-
-    Computed both ways: the legacy closed-form heuristic
-    (:func:`extrapolate_online_per_gate`) and the per-envelope symbolic
-    wire formulas — the improvement *factor* must agree exactly with the
-    packing factor under either derivation.
+    """Per-gate online bytes at the paper's own committee sizes (2048-bit),
+    from the per-envelope wire formulas: the improvement *factor* must
+    agree exactly with the packing factor.
     """
-    from repro.accounting.symbolic import extrapolated_mu_bytes_per_gate
-
-    def extrapolate():
-        rows = []
-        for c_param, f in ((1000, 0.05), (20000, 0.10), (20000, 0.20)):
-            g = analyze(c_param, f)
-            n = round(g.committee_size)
-            per_gate_ours = extrapolate_online_per_gate(
-                n, g.epsilon, gates_per_batch=g.packing_factor
-            )
-            per_gate_nogap = extrapolate_online_per_gate(
-                n, g.epsilon, gates_per_batch=1
-            )
-            wire_ours = extrapolated_mu_bytes_per_gate(
-                n, g.epsilon, g.packing_factor
-            )
-            wire_nogap = extrapolated_mu_bytes_per_gate(n, g.epsilon, 1)
-            rows.append(
-                (c_param, f, n, g.packing_factor,
-                 round(per_gate_ours), round(wire_ours),
-                 round(per_gate_nogap / per_gate_ours),
-                 round(wire_nogap / wire_ours))
-            )
-        return rows
-
-    rows = benchmark(extrapolate)
+    rows = benchmark(atlas_rows)
     print_banner(
-        "E7b — extrapolated online B/gate at Table 1 scales (2048-bit TE), "
-        "heuristic vs wire formulas"
+        "E7b — extrapolated online B/gate at Table 1 scales (2048-bit TE)"
     )
     print(format_table(
-        ["C", "f", "n", "k", "heur B/gate", "wire B/gate",
-         "factor (heur)", "factor (wire)"],
+        ["C", "f", "n", "k", "ours B/gate", "eps=0 B/gate", "factor",
+         "GB per 10^6 gates"],
         rows,
     ))
-    for _, _, _, k, heur_b, wire_b, f_heur, f_wire in rows:
-        assert f_heur == k  # the improvement factor IS the packing factor
-        assert f_wire == k  # ... under either derivation
-        # The wire formula carries the dict-entry and envelope framing
-        # the heuristic (share + proof token only) omits — a steady
-        # ~19% at 2048-bit moduli, identical across committee sizes.
-        assert 1.0 <= wire_b / heur_b <= 1.3
+    for _, _, _, k, _, _, factor, _ in rows:
+        assert factor == k  # the improvement factor IS the packing factor
 
 
 # -- cost atlas ----------------------------------------------------------------
@@ -108,8 +74,6 @@ ATLAS_END = "<!-- cost-atlas:end -->"
 
 def atlas_rows(te_bits: int = 2048) -> list[tuple]:
     """(C, f, n, k, wire B/gate, eps=0 B/gate, factor, GB per 10^6 gates)."""
-    from repro.accounting.symbolic import extrapolated_mu_bytes_per_gate
-
     rows = []
     for c_param, f in ((1000, 0.05), (20000, 0.10), (20000, 0.20)):
         g = analyze(c_param, f)

@@ -19,7 +19,6 @@ import argparse
 import json
 import random
 import time
-from types import SimpleNamespace
 
 # Phase-module imports register every envelope kind (same side effect a
 # protocol run relies on).
@@ -39,7 +38,6 @@ from repro.nizk.sigma import (
     PlaintextKnowledgeProof,
 )
 from repro.paillier import generate_keypair
-from repro.paillier.paillier import PaillierCiphertext, PaillierPublicKey
 from repro.paillier.threshold import PartialDecryption
 from repro.service.wire import ClientInput, EpochAnnouncement, EpochResult
 from repro.wire import (
@@ -54,46 +52,26 @@ from repro.wire import (
 )
 
 
-def build_payloads(keypair, rng=None):
+def build_payloads(keypair):
     """kind name -> (bulletin tag, payload) mirroring the protocol's posts.
 
-    Without ``rng`` the heavy leaves are shared instances — cheap to
-    build and fine for throughput timing, where only widths matter.
-    With ``rng`` every ciphertext, proof field, and share value is an
-    independent full-width draw: real traffic never repeats a
-    ciphertext, and reused placeholders would let the compression sweep
-    dedupe its way to a fictitious ratio.
+    The heavy leaves are shared instances — cheap to build and fine for
+    throughput timing, where only widths matter.
     """
     public = keypair.public
-    n2 = public.n_squared
-    chal_bits = max(8, min(128, public.n.bit_length() // 2 - 2))
+    _ct = public.encrypt(1)
 
-    if rng is None:
-        _ct = public.encrypt(1)
+    def ct():
+        return _ct
 
-        def ct():
-            return _ct
+    def big():          # commitment / response-sized proof field
+        return 7
 
-        def big():          # commitment / response-sized proof field
-            return 7
+    def echal():        # challenge-sized proof field
+        return 5
 
-        def echal():        # challenge-sized proof field
-            return 5
-
-        def word():         # plaintext-space (mod 2^te_bits) value
-            return 123
-    else:
-        def ct():
-            return PaillierCiphertext(public, rng.randrange(1, n2))
-
-        def big():
-            return rng.randrange(1, n2)
-
-        def echal():
-            return rng.getrandbits(chal_bits)
-
-        def word():
-            return rng.getrandbits(63)
+    def word():         # plaintext-space (mod 2^te_bits) value
+        return 123
 
     def popk():
         return PlaintextKnowledgeProof(big(), echal(), big())
@@ -119,8 +97,7 @@ def build_payloads(keypair, rng=None):
         )
 
     def mu_proof():
-        source = rng if rng is not None else random.Random(5)
-        return source.randbytes(192)
+        return random.Random(5).randbytes(192)
 
     wires = range(4)
     return {
@@ -239,79 +216,6 @@ def sweep(repeats, iterations):
     return results
 
 
-def _compressor():
-    """Best available compressor: zstd if importable, else stdlib zlib.
-
-    The container need not ship ``zstandard``; the fallback chain keeps
-    the experiment runnable anywhere, and the report records which
-    backend produced the numbers.
-    """
-    try:
-        import zstandard
-
-        compressor = zstandard.ZstdCompressor(level=3)
-        return "zstd(3)", compressor.compress
-    except ImportError:
-        pass
-    try:
-        from compression import zstd  # Python >= 3.14
-
-        return "zstd(3)", lambda data: zstd.compress(data, level=3)
-    except ImportError:
-        pass
-    import zlib
-
-    return "zlib(6)", lambda data: zlib.compress(data, 6)
-
-
-def _pseudo_keypair(bits, seed=0xC0DEC):
-    """A deployment-width public key for size experiments.
-
-    There are no safe-prime fixtures at 2048 bits and generating real
-    ones takes minutes, so this draws a random odd modulus of the right
-    width: ciphertext *entropy and size* — all that compression sees —
-    match a real key exactly.
-    """
-    rng = random.Random(seed)
-    n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-    return SimpleNamespace(public=PaillierPublicKey(n))
-
-
-def compression_sweep(bits, repeats, iterations):
-    """Per-kind compressed/raw ratio at deployment modulus width.
-
-    The go/no-go question for a transport-level compression stage: do
-    envelope bytes shrink enough to pay for the CPU?  Ciphertext bodies
-    are uniform in Z_{N²}, so the expected answer for the heavy kinds is
-    no — this measures exactly how close to 1.0 the ratio sits, and how
-    much the framing-only kinds (where compression *does* bite) weigh.
-    """
-    backend, compress = _compressor()
-    keypair = _pseudo_keypair(bits)
-    codec = WireCodec()
-    codec.keyring.add(keypair.public)
-    payloads = build_payloads(keypair, rng=random.Random(0xE17))
-    rows = []
-    for kind in registered_kinds():
-        tag, payload = payloads[kind.name]
-        encoded = _encode(codec, tag, payload)
-        compressed = compress(encoded)
-        ratio = len(compressed) / len(encoded)
-        ops = _best_rate(lambda: compress(encoded), repeats, iterations)
-        rows.append({
-            "kind": kind.name,
-            "raw_bytes": len(encoded),
-            "compressed_bytes": len(compressed),
-            "ratio": round(ratio, 4),
-            "savings_pct": round(100 * (1 - ratio), 2),
-            "compress_mb_s": round(ops * len(encoded) / 1e6, 2),
-        })
-        print(f"  {kind.name:22s} {len(encoded):7d} B -> "
-              f"{len(compressed):7d} B   ratio {ratio:6.4f}   "
-              f"({ops * len(encoded) / 1e6:7.1f} MB/s)")
-    return {"backend": backend, "modulus_bits": bits, "kinds": rows}
-
-
 def socket_roundtrip(repeats, iterations):
     """One cross-process delivery row: coordinator → worker → re-encode → back.
 
@@ -351,8 +255,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--iterations", type=int, default=200)
-    parser.add_argument("--compress-bits", type=int, default=2048,
-                        help="modulus width for the compression sweep")
     parser.add_argument("--out", default="BENCH_wire.json")
     args = parser.parse_args(argv)
 
@@ -367,10 +269,6 @@ def main(argv=None):
             args.repeats, max(1, args.iterations // 10)
         ),
     }
-    print(f"\ncompression sweep at {args.compress_bits}-bit moduli:")
-    report["compression"] = compression_sweep(
-        args.compress_bits, args.repeats, max(1, args.iterations // 4)
-    )
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")

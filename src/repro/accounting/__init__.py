@@ -5,19 +5,12 @@ aggregates to reproduce the paper's communication claims (online O(1) per
 gate, offline O(n) per gate — DESIGN.md experiment rows E1–E3).
 """
 
-from repro.accounting.comm import (
-    CommMeter,
-    MessageRecord,
-    measure_bytes,
-    register_sizer,
-    unregister_sizer,
-)
+from repro.accounting.comm import CommMeter, MessageRecord
 from repro.accounting.report import (
     CommReport,
     comparison_table,
     format_table,
     key_usage_matrix,
-    measurement_table,
     per_gate_series,
 )
 from repro.accounting.export import (
@@ -26,17 +19,12 @@ from repro.accounting.export import (
     report_from_mpc_result,
     run_report,
 )
-from repro.accounting.costmodel import (
-    CircuitShape,
-    CostModel,
-    PhasePrediction,
-    extrapolate_online_per_gate,
-)
 
 
 def __getattr__(name):
     """Lazy re-exports of the symbolic cost model (requires sympy)."""
     _symbolic_names = {
+        "CircuitShape",
         "CostExactnessError",
         "EnvelopeMeasurement",
         "ExactnessReport",
@@ -56,24 +44,17 @@ def __getattr__(name):
 __all__ = [
     "CommMeter",
     "MessageRecord",
-    "measure_bytes",
-    "register_sizer",
-    "unregister_sizer",
     "CommReport",
     "comparison_table",
     "format_table",
     "key_usage_matrix",
-    "measurement_table",
     "per_gate_series",
-    "CircuitShape",
-    "CostModel",
-    "PhasePrediction",
-    "extrapolate_online_per_gate",
     "dumps_report",
     "loads_report",
     "report_from_mpc_result",
     "run_report",
     # Symbolic cost model (lazy; see __getattr__).
+    "CircuitShape",
     "CostExactnessError",
     "EnvelopeMeasurement",
     "ExactnessReport",

@@ -2,197 +2,27 @@
 
 YOSO communication is bulletin-board posts (broadcast and point-to-point
 cost the same — paper §3.3), so a single meter on the bulletin captures the
-protocol's entire communication.  On the default path each post arrives
-already encoded by :mod:`repro.wire` and the meter records the *exact*
-encoded byte spans (:meth:`CommMeter.record_exact`); the recursive
-structural sizer (:func:`measure_bytes`) survives only as a deprecated
-estimating fallback.  Every record is tagged with its phase and sender,
-enabling the per-phase / per-gate breakdowns the benchmarks report.
+protocol's entire communication.  Each post arrives already encoded by
+:mod:`repro.wire` and the meter records the encoded byte spans
+(:meth:`CommMeter.record_exact`).  Every record is tagged with its phase
+and sender, enabling the per-phase / per-gate breakdowns the benchmarks
+report.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable
-
-#: Registered sizers: payload type -> bytes function (subclasses included).
-#: Deprecated for bulletin payloads — the board now meters encoded wire
-#: bytes exactly; sizers remain only for out-of-band estimation.
-_SIZERS: dict[type, Callable[[Any], int]] = {}
-
-#: Type names the meter estimated instead of measured (diagnostic aid).
-unmeasured_type_names: set[str] = set()
-
-#: (envelope kind, payload type) pairs already warned about — one
-#: deprecation warning per kind/type pair, so the same foreign type
-#: surfacing under a *different* envelope kind still gets flagged.
-_WARNED_TYPES: set[tuple[str, str]] = set()
-
-
-def _warn_once(type_name: str, message: str, kind: str = "") -> None:
-    key = (kind, type_name)
-    if key not in _WARNED_TYPES:
-        _WARNED_TYPES.add(key)
-        warnings.warn(message, DeprecationWarning, stacklevel=4)
-
-
-def warn_fallback_once(type_name: str, message: str, kind: str = "") -> None:
-    """Once-per-(kind, type) deprecation warning for a fallback payload.
-
-    Shared by the meter's sizer path and the bulletin's object-reference
-    fallback.  ``kind`` is the envelope kind the payload was posted
-    under; the pair keys the dedup so a codec-foreign type warns once per
-    kind however many boards or meters touch it — estimated kinds are
-    exactly the ones the symbolic exactness check
-    (:mod:`repro.accounting.symbolic`) cannot certify, so each deserves
-    its own flag (docs/WIRE.md documents once-per-kind).
-    """
-    _warn_once(type_name, message, kind)
-
-
-def reset_fallback_warnings() -> None:
-    """Forget which types already warned (test isolation hook)."""
-    _WARNED_TYPES.clear()
-
-
-def _encoded_length(payload: Any) -> int | None:
-    """Exact wire-codec length of ``payload``, or None if not encodable."""
-    from repro.errors import WireEncodeError
-    from repro.wire.codec import WireCodec
-
-    try:
-        return len(WireCodec().encode(payload))
-    except (WireEncodeError, RecursionError):
-        return None
-
-
-def register_sizer(
-    payload_type: type, sizer: Callable[[Any], int] | None = None
-):
-    """Register a byte-sizer for ``payload_type`` (and its subclasses).
-
-    New payload types (e.g. objects introduced by tracing or protocol
-    extensions) plug into the meter here instead of crashing it.  Usable
-    directly or as a decorator::
-
-        register_sizer(MyToken, lambda t: 32)
-
-        @register_sizer(MyEnvelope)
-        def _size(e): return len(e.blob)
-
-    Returns the sizer, decorator-style.
-    """
-    if sizer is None:
-        return lambda fn: register_sizer(payload_type, fn)
-    if not isinstance(payload_type, type):
-        raise TypeError(f"payload_type must be a type, got {payload_type!r}")
-    if not callable(sizer):
-        raise TypeError("sizer must be callable")
-    _SIZERS[payload_type] = sizer
-    return sizer
-
-
-def unregister_sizer(payload_type: type) -> None:
-    """Remove a registered sizer (primarily for tests)."""
-    _SIZERS.pop(payload_type, None)
-
-
-def measure_bytes(payload: Any, strict: bool = True) -> int:
-    """Structural size estimate of a protocol message, in bytes.
-
-    **Deprecated for bulletin traffic**: the board now posts encoded
-    envelopes and meters ``len(bytes)`` exactly; this estimator survives
-    as the fallback for payloads the wire codec cannot encode and for
-    out-of-band estimation (cost-model sanity checks, extensions).
-
-    Integers count their minimal two's-complement-ish size; containers
-    recurse; types registered via :func:`register_sizer` use their sizer;
-    ring elements (which have no wire codec) count their canonical group
-    size.  A type none of those cover falls back to its exact wire-codec
-    encoded length — with a one-time :class:`DeprecationWarning` in
-    non-strict mode, because such payloads should be posted as encoded
-    bytes rather than sized after the fact.  Only when the codec cannot
-    encode it either does the meter *estimate*: ``TypeError`` when
-    ``strict`` (the default, so measurement bugs surface in tests), else
-    a repr-based guess noted in :data:`unmeasured_type_names` — never
-    silently.
-    """
-    if payload is None:
-        return 0
-    if isinstance(payload, bool):
-        return 1
-    if isinstance(payload, int):
-        return (abs(payload).bit_length() + 7) // 8 + 1
-    if isinstance(payload, (bytes, bytearray)):
-        return len(payload)
-    if isinstance(payload, str):
-        return len(payload.encode())
-    if isinstance(payload, float):
-        return 8
-    if isinstance(payload, dict):
-        return sum(
-            measure_bytes(k, strict) + measure_bytes(v, strict)
-            for k, v in payload.items()
-        )
-    if isinstance(payload, (list, tuple, set, frozenset)):
-        return sum(measure_bytes(item, strict) for item in payload)
-    if _SIZERS:
-        for cls in type(payload).__mro__:
-            sizer = _SIZERS.get(cls)
-            if sizer is not None:
-                return int(sizer(payload))
-    # Ring elements have no wire codec (they never cross the bulletin raw);
-    # their canonical group size is still the honest structural answer.
-    value = getattr(payload, "value", None)
-    ring = getattr(payload, "ring", None)
-    if value is not None and ring is not None and hasattr(ring, "modulus"):
-        return (ring.modulus.bit_length() + 7) // 8
-    if dataclasses.is_dataclass(payload) and not isinstance(payload, type):
-        return sum(
-            measure_bytes(getattr(payload, f.name), strict)
-            for f in dataclasses.fields(payload)
-        )
-    type_name = type(payload).__name__
-    encoded = _encoded_length(payload)
-    if encoded is not None:
-        # Exact, not an estimate — but the sizer path itself is deprecated.
-        if not strict:
-            _warn_once(
-                type_name,
-                f"no structural sizer for {type_name}; measured via its "
-                "wire-codec encoding — post encoded bytes instead "
-                "(structural sizers are deprecated)",
-            )
-        return encoded
-    if strict:
-        raise TypeError(f"cannot measure payload of type {type_name}")
-    _warn_once(
-        type_name,
-        f"payload type {type_name} is neither wire-encodable nor sized; "
-        "its bytes are a repr-based estimate "
-        "(register a wire codec or a sizer)",
-    )
-    unmeasured_type_names.add(type_name)
-    return len(repr(payload).encode())
 
 
 @dataclass(frozen=True)
 class MessageRecord:
-    """One bulletin post, as seen by the meter.
-
-    ``exact`` distinguishes measured wire bytes (the default path: the
-    record *is* the encoded length) from structural-sizer estimates (the
-    deprecated fallback) — the comm report surfaces the split.
-    """
+    """One span of delivered wire bytes, as seen by the meter."""
 
     phase: str
     sender: str
     tag: str
     n_bytes: int
-    exact: bool = False
 
 
 @dataclass
@@ -202,19 +32,9 @@ class CommMeter:
     records: list[MessageRecord] = field(default_factory=list)
 
     def record_exact(self, phase: str, sender: str, tag: str, n_bytes: int) -> int:
-        """Record a span of actually-encoded wire bytes (the default path)."""
-        self.records.append(MessageRecord(phase, sender, tag, int(n_bytes), exact=True))
+        """Record a span of encoded wire bytes."""
+        self.records.append(MessageRecord(phase, sender, tag, int(n_bytes)))
         return int(n_bytes)
-
-    def record(self, phase: str, sender: str, tag: str, payload: Any) -> int:
-        """Deprecated estimating path: size ``payload`` structurally.
-
-        Non-strict: an unregistered payload type must not abort a
-        protocol run mid-flight — it degrades to an estimate instead.
-        """
-        n = measure_bytes(payload, strict=False)
-        self.records.append(MessageRecord(phase, sender, tag, n))
-        return n
 
     # -- aggregates ------------------------------------------------------------
 
@@ -225,20 +45,6 @@ class CommMeter:
 
     def total_messages(self, phase: str | None = None) -> int:
         return sum(1 for r in self.records if phase is None or r.phase == phase)
-
-    def exact_bytes(self, phase: str | None = None) -> int:
-        """Bytes backed by actual wire encodings (not estimates)."""
-        return sum(
-            r.n_bytes for r in self.records
-            if r.exact and (phase is None or r.phase == phase)
-        )
-
-    def estimated_bytes(self, phase: str | None = None) -> int:
-        """Bytes from the deprecated structural-sizer fallback."""
-        return sum(
-            r.n_bytes for r in self.records
-            if not r.exact and (phase is None or r.phase == phase)
-        )
 
     def by_phase(self) -> dict[str, int]:
         out: dict[str, int] = defaultdict(int)

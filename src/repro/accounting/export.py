@@ -13,7 +13,7 @@ from typing import Any, Mapping
 from repro.accounting.comm import CommMeter
 from repro.errors import ParameterError
 
-EXPORT_VERSION = 1
+EXPORT_VERSION = 2
 
 
 def run_report(
@@ -38,15 +38,11 @@ def run_report(
         "totals": {
             "bytes": meter.total_bytes(),
             "messages": meter.total_messages(),
-            "exact_bytes": meter.exact_bytes(),
-            "estimated_bytes": meter.estimated_bytes(),
         },
         "phases": {
             phase: {
                 "bytes": meter.total_bytes(phase),
                 "messages": meter.total_messages(phase),
-                "exact_bytes": meter.exact_bytes(phase),
-                "estimated_bytes": meter.estimated_bytes(phase),
                 "by_tag": meter.by_tag(phase),
             }
             for phase in phases

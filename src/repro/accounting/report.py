@@ -15,21 +15,13 @@ from repro.accounting.comm import CommMeter
 
 @dataclass(frozen=True)
 class CommReport:
-    """Per-phase communication of one protocol execution.
-
-    ``phase_exact_bytes``/``phase_estimated_bytes`` split each phase's total
-    into bytes measured from delivered wire envelopes (exact) and bytes from
-    deprecated structural-sizer estimates — a run entirely on the wire codec
-    reports every byte as exact.
-    """
+    """Per-phase communication of one protocol execution."""
 
     label: str
     n_parties: int
     n_gates: int
     phase_bytes: Mapping[str, int]
     phase_messages: Mapping[str, int]
-    phase_exact_bytes: Mapping[str, int] = None  # type: ignore[assignment]
-    phase_estimated_bytes: Mapping[str, int] = None  # type: ignore[assignment]
 
     @classmethod
     def from_meter(
@@ -42,8 +34,6 @@ class CommReport:
             n_gates=n_gates,
             phase_bytes=meter.by_phase(),
             phase_messages={p: meter.total_messages(p) for p in phases},
-            phase_exact_bytes={p: meter.exact_bytes(p) for p in phases},
-            phase_estimated_bytes={p: meter.estimated_bytes(p) for p in phases},
         )
 
     def bytes_per_gate(self, phase: str) -> float:
@@ -54,14 +44,6 @@ class CommReport:
     @property
     def total_bytes(self) -> int:
         return sum(self.phase_bytes.values())
-
-    @property
-    def exact_fraction(self) -> float:
-        """Share of all bytes measured from actual wire envelopes."""
-        total = self.total_bytes
-        if not total or self.phase_exact_bytes is None:
-            return 1.0
-        return sum(self.phase_exact_bytes.values()) / total
 
 
 def per_gate_series(
@@ -101,26 +83,6 @@ def comparison_table(
         )
     return format_table(
         ["protocol", "n", "gates", f"{phase} B/gate", "vs smallest n"], rows
-    )
-
-
-def measurement_table(report: CommReport) -> str:
-    """Per-phase bytes with the exact-vs-estimated split.
-
-    "exact" bytes are lengths of delivered wire envelopes; "estimated"
-    bytes came from the deprecated structural sizers (codec-foreign
-    payloads only).  A fully byte-real run shows zero estimated bytes.
-    """
-    rows = []
-    for phase in sorted(report.phase_bytes):
-        exact = (report.phase_exact_bytes or {}).get(phase, 0)
-        estimated = (report.phase_estimated_bytes or {}).get(phase, 0)
-        rows.append(
-            (phase, report.phase_bytes[phase], exact, estimated,
-             report.phase_messages.get(phase, 0))
-        )
-    return format_table(
-        ["phase", "bytes", "exact", "estimated", "messages"], rows
     )
 
 

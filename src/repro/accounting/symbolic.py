@@ -53,7 +53,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields as dc_fields, is_dataclass
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import ReproError
 from repro.wire.registry import kind_by_name
@@ -74,7 +74,13 @@ from repro.wire.sizes import (
     vlen,
 )
 
+if TYPE_CHECKING:
+    from repro.circuits.circuit import Circuit
+    from repro.circuits.layering import BatchPlan
+    from repro.circuits.program import CircuitProgram
+
 __all__ = [
+    "CircuitShape",
     "CostExactnessError",
     "EnvelopeMeasurement",
     "ExactnessReport",
@@ -1208,7 +1214,6 @@ class ExactnessReport:
     envelopes: int
     total_measured: int
     totals: tuple[KindTotal, ...]
-    skipped: int  # non-encoded (legacy fallback) posts, if any
 
     def __str__(self) -> str:
         lines = [
@@ -1292,11 +1297,7 @@ def verify_cost_exactness(
         raise CostExactnessError("need a result, or a bulletin and a space")
 
     per_variant: dict[str, list[EnvelopeMeasurement]] = {}
-    skipped = 0
     for post in bulletin:
-        if not post.is_encoded:
-            skipped += 1
-            continue
         m = measure_post(post, space)
         if m.actual != m.measured:
             raise CostExactnessError(
@@ -1326,7 +1327,6 @@ def verify_cost_exactness(
         envelopes=sum(t.envelopes for t in totals),
         total_measured=sum(t.measured_bytes for t in totals),
         totals=tuple(totals),
-        skipped=skipped,
     )
 
 
@@ -1347,10 +1347,44 @@ def cost_check_enabled() -> bool:
 
 # -- parameter spaces ---------------------------------------------------------
 
+@dataclass(frozen=True)
+class CircuitShape:
+    """The circuit statistics the cost model needs."""
+
+    n_inputs: int
+    n_multiplications: int
+    n_outputs: int
+    n_batches: int
+    n_depths: int
+    n_input_clients: int
+
+    @classmethod
+    def of(cls, circuit: Circuit, plan: BatchPlan) -> CircuitShape:
+        return cls(
+            n_inputs=circuit.n_inputs,
+            n_multiplications=circuit.n_multiplications,
+            n_outputs=circuit.n_outputs,
+            n_batches=len(plan.mul_batches),
+            n_depths=len({b.depth for b in plan.mul_batches}),
+            n_input_clients=len(circuit.input_clients()),
+        )
+
+    @classmethod
+    def of_program(cls, program: CircuitProgram) -> CircuitShape:
+        """Shape of a compiled program (no re-planning, no rescans)."""
+        circuit = program.circuit
+        return cls(
+            n_inputs=circuit.n_inputs,
+            n_multiplications=circuit.n_multiplications,
+            n_outputs=circuit.n_outputs,
+            n_batches=len(program.plan.mul_batches),
+            n_depths=len(program.mul_depths),
+            n_input_clients=len(program.input_segments),
+        )
+
+
 def space_for_result(result: Any) -> _Space:
     """Concrete parameter space of a core-protocol :class:`MpcResult`."""
-    from repro.accounting.costmodel import CircuitShape
-
     params = result.params
     shape = CircuitShape.of(result.circuit, result.plan)
     proof_params = result.setup.proof_params
@@ -1648,7 +1682,6 @@ def extrapolated_mu_bytes_per_gate(
     """
     from dataclasses import replace
 
-    from repro.accounting.costmodel import CircuitShape
     from repro.core.params import ProtocolParams
 
     params = replace(

@@ -41,13 +41,12 @@ DEFAULT_ALLOW: dict[str, tuple[str, ...]] = {
         "src/repro/wire/socket_transport.py",
     ),
     # The crypto keygen/challenge seams: safe-prime sampling, Paillier
-    # encryption randomness fallbacks, Σ-protocol challenges, ring
-    # element sampling, and the proof-oracle MAC key.
+    # encryption randomness fallbacks, Σ-protocol challenges, and ring
+    # element sampling.
     "DET003": (
         "src/repro/paillier/*",
         "src/repro/nizk/*",
         "src/repro/fields/ring.py",
-        "src/repro/core/oracle.py",
     ),
 }
 

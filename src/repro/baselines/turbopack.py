@@ -130,6 +130,8 @@ class TurbopackSimulator:
         prep = self._deal(program)
         meter = CommMeter()
         ring = self.ring
+        # No board here: a message is metered as its ring elements.
+        element_bytes = (ring.modulus.bit_length() + 7) // 8
         mu: dict[int, ZmodElement] = {}
         const_cache = [ring.element(c) for c in program.constants]
 
@@ -137,7 +139,10 @@ class TurbopackSimulator:
         values = program.evaluate(ring, inputs).wire_values
         for w in circuit.input_wires:
             mu[w] = values[w] - prep.lambdas[w]
-            meter.record("online", f"client:{circuit.gates[w].client}", "input-mu", mu[w])
+            meter.record_exact(
+                "online", f"client:{circuit.gates[w].client}", "input-mu",
+                element_bytes,
+            )
 
         def propagate() -> None:
             for layer in program.layers:
@@ -194,7 +199,9 @@ class TurbopackSimulator:
                     )
                     # Each party sends exactly one share to P1 (the
                     # Turbopack single-receiver trick).
-                    meter.record("online", f"party{i}", "mu-share-to-p1", value)
+                    meter.record_exact(
+                        "online", f"party{i}", "mu-share-to-p1", element_bytes
+                    )
                     shares.append(
                         PackedShare(i, value, product_degree, self.k)
                     )
@@ -204,7 +211,10 @@ class TurbopackSimulator:
                 self.scheme.reconstruct_many(bases, degree=product_degree),
             ):
                 # P1 broadcasts the k reconstructed μ values.
-                meter.record("online", "party1", "mu-broadcast", reconstructed)
+                meter.record_exact(
+                    "online", "party1", "mu-broadcast",
+                    len(reconstructed) * element_bytes,
+                )
                 for slot, w in enumerate(batch.gate_wires):
                     mu[w] = reconstructed[slot]
             propagate()
@@ -215,7 +225,7 @@ class TurbopackSimulator:
             if w not in mu:
                 raise ProtocolAbortError(f"μ for output wire {w} never resolved")
             value = mu[w] + prep.lambdas[w]
-            meter.record("online", "dealer", "output-lambda", prep.lambdas[w])
+            meter.record_exact("online", "dealer", "output-lambda", element_bytes)
             outputs.setdefault(client, []).append(int(value))
         return TurbopackResult(
             outputs=outputs, n=self.n, t=self.t, k=self.k, meter=meter

@@ -3,7 +3,7 @@
 Answers the questions a deployer asks before running: how wide is the
 circuit per multiplicative depth (does it fill batches of k?), how many
 online committees will run, and what will each phase roughly cost — wired
-into the :mod:`repro.accounting.costmodel` predictor.
+into the :mod:`repro.accounting.symbolic` predictor.
 """
 
 from __future__ import annotations
@@ -121,10 +121,10 @@ def estimate_phase_bytes(
     circuit: Circuit, params: "ProtocolParams"
 ) -> dict[str, int]:
     """Predicted offline/online bytes for running this circuit (cost model)."""
-    from repro.accounting.costmodel import CircuitShape, CostModel
+    from repro.accounting.symbolic import CircuitShape, SymbolicCostModel
 
     program = compile_circuit(circuit, params.k)
-    model = CostModel(params, CircuitShape.of_program(program))
+    model = SymbolicCostModel(params, CircuitShape.of_program(program))
     return {
         "offline": model.predict_offline().n_bytes,
         "online": model.predict_online().n_bytes,

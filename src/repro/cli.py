@@ -25,7 +25,6 @@ from typing import Sequence
 
 from repro.accounting import (
     dumps_report,
-    extrapolate_online_per_gate,
     format_table,
     report_from_mpc_result,
 )
@@ -301,11 +300,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_extrapolate(args: argparse.Namespace) -> int:
-    per_gate = extrapolate_online_per_gate(
-        args.n, args.epsilon, te_bits=args.te_bits
+    from repro.accounting.symbolic import extrapolated_mu_bytes_per_gate
+
+    k = max(1, int(args.n * args.epsilon))
+    per_gate = extrapolated_mu_bytes_per_gate(
+        args.n, args.epsilon, k, args.te_bits
     )
-    baseline = extrapolate_online_per_gate(
-        args.n, args.epsilon, gates_per_batch=1, te_bits=args.te_bits
+    baseline = extrapolated_mu_bytes_per_gate(
+        args.n, args.epsilon, 1, args.te_bits
     )
     print(format_table(
         ["n", "eps", "te bits", "ours B/gate", "eps=0 B/gate", "factor"],
@@ -329,8 +331,7 @@ def _cost_catalog(args: argparse.Namespace) -> int:
 
 
 def _cost_evaluate(args: argparse.Namespace) -> int:
-    from repro.accounting.costmodel import CircuitShape
-    from repro.accounting.symbolic import SymbolicCostModel
+    from repro.accounting.symbolic import CircuitShape, SymbolicCostModel
     from repro.circuits import compile_circuit, dot_product_circuit
     from repro.core.params import ProtocolParams
 
@@ -394,8 +395,7 @@ def _cost_extrapolate(args: argparse.Namespace) -> int:
     )
     gates = result.circuit.n_multiplications
     measured = result.online_mul_bytes() / gates
-    from repro.accounting.costmodel import CircuitShape
-    from repro.accounting.symbolic import SymbolicCostModel
+    from repro.accounting.symbolic import CircuitShape, SymbolicCostModel
 
     model = SymbolicCostModel(
         result.params,

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import secrets
 
 #: Size of a proof token — the ballpark of a Groth16/Groth–Maller proof.
 PROOF_TOKEN_BYTES = 192
@@ -34,8 +33,8 @@ PROOF_TOKEN_BYTES = 192
 class MuShareOracle:
     """Per-protocol-run attestation authority for online μ-shares."""
 
-    def __init__(self, key: bytes | None = None):
-        self._key = key if key is not None else secrets.token_bytes(32)
+    def __init__(self, key: bytes):
+        self._key = key
 
     def _mac(self, statement: bytes) -> bytes:
         digest = hmac.new(self._key, statement, hashlib.sha256).digest()

@@ -46,7 +46,6 @@ WIRE_ENCODED_BYTES = "wire.encoded_bytes"      # total envelope bytes produced
 WIRE_DECODES = "wire.decodes"                  # envelope bodies decoded on read
 WIRE_DECODE_FAILURES = "wire.decode_failures"  # rejected (garbled) envelopes
 WIRE_DROPS = "wire.drops"                      # posts lost by the transport
-WIRE_ENCODE_FALLBACKS = "wire.encode_fallbacks"  # legacy structural-sizer posts
 
 WIRE_SOCKET_FRAMES_OUT = "wire.socket.frames_out"  # frames sent to workers
 WIRE_SOCKET_FRAMES_IN = "wire.socket.frames_in"    # frames received back

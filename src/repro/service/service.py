@@ -56,7 +56,6 @@ class ServiceConfig:
     input_window: int = 1
     seed: int = 2026
     transport: Any = "memory"       # spec string or a Transport instance
-    cost_check: bool = True
 
 
 @dataclass
@@ -219,7 +218,7 @@ class MpcService:
         reshare_seconds = time.perf_counter() - started
 
         self._pipeline = None
-        if self.config.cost_check and cost_check_enabled():
+        if cost_check_enabled():
             self.verify_costs()
 
         circuit = inner.circuit

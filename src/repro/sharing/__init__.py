@@ -9,11 +9,9 @@ paper (DESIGN.md §3).
 from repro.sharing.decoding import berlekamp_welch, gaussian_solve
 from repro.sharing.shamir import Share, ShamirScheme
 from repro.sharing.kernel import (
-    BACKEND_ENV,
     NUMPY_MODULUS_BITS,
     matmul_mod,
     resolve_backend,
-    selected_backend,
 )
 from repro.sharing.packed import (
     PackedShare,
@@ -33,9 +31,7 @@ __all__ = [
     "PackedShamirScheme",
     "packed_scheme",
     "secret_slots",
-    "BACKEND_ENV",
     "NUMPY_MODULUS_BITS",
     "matmul_mod",
     "resolve_backend",
-    "selected_backend",
 ]

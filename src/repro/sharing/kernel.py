@@ -17,34 +17,26 @@ matrix-vector engine behind
   inner dimensions up to 4096 because ``4096 · (2^26)^2 ≤ 2^64``), the
   partial sums are reduced mod p, and the limb weights are folded back in
   with exact Python-int (object-dtype) arithmetic.
-* **blocked int backend** — pure-int rows for 2048-bit moduli (the core
+* **int backend** — pure-int rows for 2048-bit moduli (the core
   protocol's Z_N): one big-int accumulation per output element with a
-  single final reduction, processed in bounded blocks so transient
-  products never pile up.
-* **legacy** — the callers fall back to the historical per-sharing
-  polynomial path (``random_polynomial``/``interpolate``); the fast
-  backends must match it bit for bit, which the equivalence suite in
-  ``tests/test_sharing_batched.py`` pins on every backend.
+  single final reduction.
 
-Backend selection is automatic (numpy when available and the modulus
-fits) and can be forced through the ``REPRO_SHARING_BACKEND`` environment
-variable: ``auto`` (default), ``numpy``, ``int``, or ``legacy``.
+The backend follows from the modulus width and the inner dimension alone
+(:func:`resolve_backend`).  Both must match the single-sharing
+polynomial path (``share`` / ``reconstruct`` / ``canonical_sharing``)
+bit for bit, which ``tests/test_sharing_batched.py`` pins.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 from repro.errors import ParameterError
 
 try:  # numpy ships with the repo, but the kernel must degrade gracefully
     import numpy as _np
-except ImportError:  # pragma: no cover - exercised via REPRO_SHARING_BACKEND=int
+except ImportError:  # pragma: no cover
     _np = None  # type: ignore[assignment]
-
-#: Environment knob forcing a backend (``auto`` / ``numpy`` / ``int`` / ``legacy``).
-BACKEND_ENV = "REPRO_SHARING_BACKEND"
 
 #: Largest modulus bit-length the uint64 limb kernel handles exactly.
 NUMPY_MODULUS_BITS = 63
@@ -53,24 +45,10 @@ NUMPY_MODULUS_BITS = 63
 #: every limb product is < 2^52, and uint64 holds 4096 of them.
 NUMPY_MAX_INNER = 4096
 
-#: Vectors per block on the pure-int path (bounds transient big-int memory).
-INT_BLOCK = 256
-
 _LIMB_BITS = 26
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
-_BACKENDS = ("auto", "numpy", "int", "legacy")
 
 IntMatrix = tuple[tuple[int, ...], ...]
-
-
-def selected_backend() -> str:
-    """The backend requested via ``REPRO_SHARING_BACKEND`` (default ``auto``)."""
-    value = os.environ.get(BACKEND_ENV, "auto").strip().lower() or "auto"
-    if value not in _BACKENDS:
-        raise ParameterError(
-            f"{BACKEND_ENV}={value!r} unknown; expected one of {_BACKENDS}"
-        )
-    return value
 
 
 def numpy_available() -> bool:
@@ -87,20 +65,7 @@ def numpy_supports(modulus: int, inner: int) -> bool:
 
 
 def resolve_backend(modulus: int, inner: int) -> str:
-    """Concrete backend (``numpy`` / ``int`` / ``legacy``) for one shape."""
-    choice = selected_backend()
-    if choice in ("legacy", "int"):
-        return choice
-    if choice == "numpy":
-        if not numpy_supports(modulus, inner):
-            raise ParameterError(
-                f"{BACKEND_ENV}=numpy but the kernel cannot run exactly: "
-                f"modulus has {modulus.bit_length()} bits "
-                f"(limit {NUMPY_MODULUS_BITS}), inner dimension {inner} "
-                f"(limit {NUMPY_MAX_INNER})"
-                + ("" if _np is not None else ", numpy not importable")
-            )
-        return "numpy"
+    """Concrete backend (``numpy`` / ``int``) for one shape."""
     return "numpy" if numpy_supports(modulus, inner) else "int"
 
 
@@ -119,6 +84,15 @@ def matmul_mod(
     if not vectors:
         return []
     if backend == "numpy":
+        inner = len(vectors[0])
+        if not numpy_supports(modulus, inner):
+            raise ParameterError(
+                "the numpy kernel cannot run exactly: "
+                f"modulus has {modulus.bit_length()} bits "
+                f"(limit {NUMPY_MODULUS_BITS}), inner dimension {inner} "
+                f"(limit {NUMPY_MAX_INNER})"
+                + ("" if _np is not None else ", numpy not importable")
+            )
         return _matmul_numpy(rows, vectors, modulus)
     if backend == "int":
         return _matmul_int(rows, vectors, modulus)
@@ -128,17 +102,11 @@ def matmul_mod(
 def _matmul_int(
     rows: IntMatrix, vectors: Sequence[Sequence[int]], modulus: int
 ) -> list[list[int]]:
-    """Blocked big-int path: exact for any modulus (2048-bit Z_N included)."""
-    out: list[list[int]] = []
-    for start in range(0, len(vectors), INT_BLOCK):
-        for vec in vectors[start : start + INT_BLOCK]:
-            out.append(
-                [
-                    sum(m * v for m, v in zip(row, vec) if v) % modulus
-                    for row in rows
-                ]
-            )
-    return out
+    """Big-int path: exact for any modulus (2048-bit Z_N included)."""
+    return [
+        [sum(m * v for m, v in zip(row, vec) if v) % modulus for row in rows]
+        for vec in vectors
+    ]
 
 
 def _matmul_numpy(

@@ -200,11 +200,6 @@ class PackedShamirScheme:
         vectors = [self._check_secrets(v) for v in secret_vectors]
         degrees = self._check_degrees(degree, len(vectors))
         backend = self._backend()
-        if backend == "legacy":
-            return [
-                self.share(v, degree=d, rng=rng)
-                for v, d in zip(vectors, degrees)
-            ]
         # Draw the random columns first, in vector order: this is exactly
         # the rng consumption of sequential share() calls.
         columns: list[list[int]] = []
@@ -245,10 +240,6 @@ class PackedShamirScheme:
         """
         vectors = [self._check_secrets(v) for v in public_vectors]
         backend = self._backend()
-        if backend == "legacy":
-            if index is None:
-                return [self.canonical_sharing(v) for v in vectors]
-            return [self.canonical_share_for(v, index) for v in vectors]
         _, rows = self._dealing_matrix(self.k - 1)
         if index is not None:
             if not 1 <= index <= self.n:
@@ -356,8 +347,6 @@ class PackedShamirScheme:
         sequential loop; the error types and messages are the same.
         """
         backend = self._backend()
-        if backend == "legacy":
-            return [self.reconstruct(s, degree=degree) for s in sharings]
         slots = secret_slots(self.k)
         prepared: list[tuple[list[PackedShare], list[PackedShare], int]] = []
         for sharing in sharings:
@@ -464,7 +453,7 @@ class PackedShamirScheme:
     # -- kernel matrices ------------------------------------------------------
 
     def dealing_points(self, degree: int) -> list[int]:
-        """Interpolation points of a degree-``degree`` dealing, legacy order.
+        """Interpolation points of a degree-``degree`` dealing, in ``share`` order.
 
         The ``k`` secret slots first, then the ``degree+1-k`` extra points
         where :func:`~repro.fields.polynomial.random_polynomial` places the

@@ -10,9 +10,9 @@ The board is *byte-real*: every post is canonically encoded into a
 :class:`~repro.wire.transport.Transport`, and stored as the delivered
 bytes — readers decode on access.  The meter records the exact encoded
 spans (per payload section plus the envelope framing), so reported totals
-equal ``sum(len(envelope))`` over the board.  Payloads the codec cannot
-encode (foreign extension objects) degrade to the legacy object-reference
-path with structural-sizer estimates and a one-time deprecation warning.
+equal ``sum(len(envelope))`` over the board.  A payload the codec cannot
+encode raises :class:`~repro.errors.WireEncodeError` and leaves the board,
+the meter and the round untouched.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from repro.accounting.comm import CommMeter, warn_fallback_once
-from repro.errors import WireEncodeError, YosoError
+from repro.accounting.comm import CommMeter
+from repro.errors import YosoError
 from repro.observability import hooks as _hooks
-from repro.wire.codec import WireCodec, roundtrip_check
+from repro.wire.codec import WireCodec
 from repro.wire.envelope import Envelope, decode_envelope, encode_envelope
 from repro.wire.registry import kind_for_tag
 from repro.wire.transport import InMemoryTransport, Transport
@@ -32,10 +32,9 @@ from repro.wire.transport import InMemoryTransport, Transport
 class Post:
     """One append-only board entry: envelope bytes plus lazy decode.
 
-    ``encoded`` holds the full delivered envelope (``None`` only on the
-    legacy fallback path, where ``payload`` is the original object).
-    ``payload`` decodes the body on first access and caches the result —
-    the decode-on-read semantics a real byte transport forces.
+    ``encoded`` holds the full delivered envelope.  ``payload`` decodes
+    the body on first access and caches the result — the decode-on-read
+    semantics a real byte transport forces.
     """
 
     __slots__ = (
@@ -50,10 +49,9 @@ class Post:
         phase: str,
         sender: str,
         tag: str,
-        kind: str = "generic",
-        encoded: bytes | None = None,
-        codec: WireCodec | None = None,
-        raw_payload: Any = None,
+        kind: str,
+        encoded: bytes,
+        codec: WireCodec,
     ):
         self.seq = seq
         self.round = round
@@ -62,10 +60,10 @@ class Post:
         self.tag = tag
         self.kind = kind
         self.encoded = encoded
-        self.n_bytes = len(encoded) if encoded is not None else None
+        self.n_bytes = len(encoded)
         self._codec = codec
-        self._payload = raw_payload
-        self._decoded = encoded is None
+        self._payload: Any = None
+        self._decoded = False
 
     @property
     def payload(self) -> Any:
@@ -80,21 +78,14 @@ class Post:
             self._decoded = True
         return self._payload
 
-    @property
-    def is_encoded(self) -> bool:
-        return self.encoded is not None
-
     def envelope(self) -> Envelope:
-        """Re-parse the stored envelope frame (encoded posts only)."""
-        if self.encoded is None:
-            raise YosoError(f"post {self.seq} ({self.tag!r}) is not encoded")
+        """Re-parse the stored envelope frame."""
         return decode_envelope(self.encoded)
 
     def __repr__(self) -> str:
-        size = f"{self.n_bytes}B" if self.n_bytes is not None else "raw"
         return (
             f"Post(#{self.seq} r{self.round} {self.phase} "
-            f"{self.sender} {self.tag!r} {size})"
+            f"{self.sender} {self.tag!r} {self.n_bytes}B)"
         )
 
 
@@ -127,13 +118,10 @@ class BulletinBoard:
         meter: CommMeter | None = None,
         transport: Transport | None = None,
         codec: WireCodec | None = None,
-        self_check: bool = False,
     ):
         self.meter = meter if meter is not None else CommMeter()
         self.transport = transport if transport is not None else InMemoryTransport()
         self.codec = codec if codec is not None else WireCodec()
-        #: Re-decode every encoded post at post time (debug/tests).
-        self.self_check = self_check
         self._posts: list[Post] = []
         self._by_tag: dict[str, list[Post]] = {}
         self.round = 0
@@ -154,10 +142,10 @@ class BulletinBoard:
 
         Returns ``None`` when the transport drops the message — the
         runtime treats that as the sender falling silent (fail-stop).
+        Raises :class:`~repro.errors.WireEncodeError` for a payload the
+        codec cannot encode, before anything is delivered or metered.
         """
         prepared = self.encode_post(phase, sender, tag, payload)
-        if prepared is None:
-            return self._post_fallback(phase, sender, tag, payload)
         delivered = self.transport.deliver(prepared.envelope, prepared.encoded)
         if delivered is None:
             _hooks.note(_hooks.WIRE_DROPS)
@@ -166,21 +154,16 @@ class BulletinBoard:
 
     def encode_post(
         self, phase: str, sender: str, tag: str, payload: Any
-    ) -> EncodedPost | None:
+    ) -> EncodedPost:
         """Encode one message without delivering it.
 
-        Returns ``None`` for codec-foreign payloads (callers fall back to
-        :meth:`post`, which takes the legacy object-reference path).
+        Raises :class:`~repro.errors.WireEncodeError` for codec-foreign
+        payloads.
         """
         kind = kind_for_tag(tag)
-        try:
-            body, sections = self.codec.encode_payload(payload)
-        except WireEncodeError:
-            return None
+        body, sections = self.codec.encode_payload(payload)
         envelope = Envelope(kind.name, sender, self.round, phase, tag, body)
         encoded = encode_envelope(envelope, kind=kind)
-        if self.self_check:
-            roundtrip_check(self.codec, payload)
         _hooks.note(_hooks.WIRE_POSTS)
         _hooks.note(_hooks.WIRE_ENCODED_BYTES, len(encoded))
         return EncodedPost(
@@ -209,40 +192,6 @@ class BulletinBoard:
             len(self._posts), prepared.envelope.round, prepared.phase,
             prepared.sender, prepared.tag,
             kind=prepared.kind, encoded=delivered, codec=self.codec,
-        )
-        self._append(post)
-        return post
-
-    def _post_fallback(
-        self, phase: str, sender: str, tag: str, payload: Any
-    ) -> Post:
-        """Legacy object-reference post for codec-foreign payloads."""
-        type_name = type(payload).__name__
-        kind = kind_for_tag(tag)
-        warn_fallback_once(
-            type_name,
-            f"bulletin payload of type {type_name} (envelope kind "
-            f"{kind.name!r}, tag {tag!r}) has no wire codec; posting by "
-            "reference with structural-sizer estimates, so this kind is "
-            "invisible to the symbolic exactness check "
-            "(repro.accounting.symbolic) — register a wire codec and a "
-            "size formula for it",
-            kind=kind.name,
-        )
-        _hooks.note(_hooks.WIRE_ENCODE_FALLBACKS)
-        if (
-            isinstance(payload, dict)
-            and payload
-            and all(isinstance(k, str) for k in payload)
-        ):
-            for key, section in payload.items():
-                self.meter.record(phase, sender, f"{tag}.{key}", section)
-        else:
-            self.meter.record(phase, sender, tag, payload)
-        _hooks.note(_hooks.BULLETIN_POSTS)
-        post = Post(
-            len(self._posts), self.round, phase, sender, tag,
-            raw_payload=payload,
         )
         self._append(post)
         return post
@@ -283,4 +232,4 @@ class BulletinBoard:
 
     def encoded_total_bytes(self) -> int:
         """Sum of delivered envelope lengths (ground truth for the meter)."""
-        return sum(p.n_bytes for p in self._posts if p.n_bytes is not None)
+        return sum(p.n_bytes for p in self._posts)

@@ -68,22 +68,17 @@ class AsyncRoundScheduler:
 
     def submit(
         self, role: Any, phase: str, sender: str, tag: str, payload: Any
-    ) -> bool:
+    ) -> None:
         """Encode and launch one post; resolution waits for finalize.
 
-        Returns ``False`` for codec-foreign payloads, which take the
-        synchronous fallback path immediately (they never touch the
-        transport, so there is nothing to wait for).
+        Raises :class:`~repro.errors.WireEncodeError` for a codec-foreign
+        payload, before anything is launched.
         """
         prepared = self.bulletin.encode_post(phase, sender, tag, payload)
-        if prepared is None:
-            self.bulletin.post(phase, sender, tag, payload)
-            return False
         handle = self.bulletin.transport.begin_deliver(
             prepared.envelope, prepared.encoded
         )
         self._pending.append((role, handle, prepared))
-        return True
 
     def finalize_round(self, quorum: int | None = None) -> list[Any]:
         """Resolve every launched post; commit arrivals, crash the silent.

@@ -1,69 +1,20 @@
 """Tests for communication metering and reporting."""
 
-import pytest
-
 from repro.accounting import (
     CommMeter,
     CommReport,
     comparison_table,
     format_table,
-    measure_bytes,
     per_gate_series,
 )
-from repro.fields import Zmod
-from repro.paillier import generate_keypair
-
-
-class TestMeasureBytes:
-    def test_primitives(self):
-        assert measure_bytes(None) == 0
-        assert measure_bytes(True) == 1
-        assert measure_bytes(0) == 1  # one (empty-magnitude) byte + sign
-        assert measure_bytes(1 << 16) == 4
-        assert measure_bytes(b"abc") == 3
-        assert measure_bytes("abc") == 3
-        assert measure_bytes(1.5) == 8
-
-    def test_containers_recurse(self):
-        assert measure_bytes([1, 2]) == measure_bytes(1) + measure_bytes(2)
-        assert measure_bytes({"k": 1}) == measure_bytes("k") + measure_bytes(1)
-        assert measure_bytes((b"ab", b"cd")) == 4
-
-    def test_ciphertext_measures_exact_wire_length(self):
-        from repro.wire.codec import WireCodec
-
-        kp = generate_keypair(64)
-        ct = kp.public.encrypt(1)
-        # A ciphertext is measured as its exact wire encoding: tag + 8-byte
-        # key id + the fixed-width Z_{N²} element (no modulus repetition).
-        assert measure_bytes(ct) == len(WireCodec().encode(ct))
-        assert measure_bytes(ct) == 1 + 8 + kp.public.ciphertext_bytes
-
-    def test_ring_element(self):
-        F = Zmod((1 << 61) - 1)
-        assert measure_bytes(F(5)) == 8
-
-    def test_dataclass_sums_fields(self):
-        from dataclasses import dataclass
-
-        @dataclass
-        class Msg:
-            a: int
-            b: bytes
-
-        assert measure_bytes(Msg(1, b"xy")) == measure_bytes(1) + 2
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(TypeError):
-            measure_bytes(object())
 
 
 class TestCommMeter:
     def _sample(self):
         meter = CommMeter()
-        meter.record("offline", "r1", "beaver", [1, 2, 3])
-        meter.record("offline", "r2", "beaver", [4])
-        meter.record("online", "r1", "mu", b"x" * 10)
+        meter.record_exact("offline", "r1", "beaver", 6)
+        meter.record_exact("offline", "r2", "beaver", 2)
+        meter.record_exact("online", "r1", "mu", 10)
         return meter
 
     def test_totals(self):
@@ -91,7 +42,7 @@ class TestCommMeter:
 class TestReports:
     def _report(self, n, per_gate):
         meter = CommMeter()
-        meter.record("online", "r", "mu", b"x" * (per_gate * 10))
+        meter.record_exact("online", "r", "mu", per_gate * 10)
         return CommReport.from_meter(f"run-n{n}", n, 10, meter)
 
     def test_bytes_per_gate(self):

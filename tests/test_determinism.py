@@ -1,14 +1,16 @@
 """Reproducibility: seeded runs are bit-for-bit deterministic."""
 
+import hashlib
 import random
 
 import pytest
 
-from repro.baselines import CdnYosoMpc
+from repro.baselines import CdnYosoMpc, TurbopackSimulator
 from repro.circuits import dot_product_circuit
 from repro.core import ProtocolParams, YosoMpc, run_mpc
 from repro.engine import engine as engine_mod
 from repro.engine import jobs as jobs_mod
+from repro.extensions import ItYosoMpc
 from repro.service import MpcService, ServiceClient
 
 
@@ -26,7 +28,6 @@ class TestDeterminism:
         assert a.setup.tpk.n == b.setup.tpk.n
         assert [p.tag for p in a.bulletin] == [p.tag for p in b.bulletin]
         assert _board_bytes(a.bulletin) == _board_bytes(b.bulletin)
-        assert all(encoded is not None for encoded in _board_bytes(a.bulletin))
 
     def test_different_seeds_different_keys(self):
         circuit = dot_product_circuit(2)
@@ -100,3 +101,62 @@ def test_board_bytes_identical_with_and_without_tables(board, monkeypatch):
     plain = board()
     assert jobs_mod._TABLES.table_bytes == 0
     assert plain == with_tables
+
+
+# -- pinned transcripts --------------------------------------------------------
+#
+# sha256 over the delivered bytes of one seeded run per evaluator, computed
+# at commit 584370e and stable across PYTHONHASHSEED.  A refactor that is
+# meant to change nothing observable must leave all four alone.
+
+_PIN_INPUTS = {"alice": [3, 1], "bob": [4, 1]}
+
+
+def _board_digest(bulletin) -> str:
+    h = hashlib.sha256()
+    for post in bulletin:
+        h.update(len(post.encoded).to_bytes(8, "big"))
+        h.update(post.encoded)
+    return h.hexdigest()
+
+
+def _pinned_core():
+    params = ProtocolParams.from_gap(4, 0.2)
+    result = YosoMpc(params, rng=random.Random(21)).run(
+        dot_product_circuit(2), _PIN_INPUTS
+    )
+    return result.outputs, _board_digest(result.bulletin)
+
+
+def _pinned_cdn():
+    result = CdnYosoMpc(n=5, t=1, te_bits=64, rng=random.Random(22)).run(
+        dot_product_circuit(2), _PIN_INPUTS
+    )
+    return result.outputs, _board_digest(result.bulletin)
+
+
+def _pinned_it():
+    result = ItYosoMpc(n=11, t=1, k=5, rng=random.Random(23)).run(
+        dot_product_circuit(2), _PIN_INPUTS
+    )
+    return result.outputs, _board_digest(result.bulletin)
+
+
+def _pinned_turbopack():
+    result = TurbopackSimulator(n=7, t=1, k=3, rng=random.Random(24)).run(
+        dot_product_circuit(2), _PIN_INPUTS
+    )
+    records = [(r.phase, r.sender, r.tag, r.n_bytes) for r in result.meter.records]
+    return result.outputs, hashlib.sha256(repr(records).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("run, digest", [
+    (_pinned_core, "a1490ec5976a5c882e6f6ac0d9ee33a459f29c71773dc19edfeb739a6a2fcb02"),
+    (_pinned_cdn, "5ec703882ddb94334caec7fa0bf1504998ac2a428908d68efd52423ef7dfc46b"),
+    (_pinned_it, "5209666844966b274aac6533ea944b660a67ef62a4f5330208126d549dd94fdb"),
+    (_pinned_turbopack, "5afb4e464926030ffa1f0189135e1b1553f45023afd5f0852f4062400cedd3fb"),
+], ids=["core", "cdn", "it", "turbopack"])
+def test_pinned_transcript(run, digest):
+    outputs, measured = run()
+    assert outputs == {"alice": [13]}
+    assert measured == digest

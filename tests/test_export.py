@@ -16,8 +16,8 @@ from repro.errors import ParameterError
 
 def _meter():
     meter = CommMeter()
-    meter.record("offline", "r1", "Coff-A.beaver", [1, 2, 3])
-    meter.record("online", "r1", "Con-mul-1.mu", b"x" * 20)
+    meter.record_exact("offline", "r1", "Coff-A.beaver", 6)
+    meter.record_exact("online", "r1", "Con-mul-1.mu", 20)
     return meter
 
 

@@ -1,15 +1,16 @@
-"""Cross-path equivalence suite for the batched sharing kernel (ISSUE 10).
+"""Cross-path equivalence suite for the batched sharing kernel.
 
 Pins :meth:`share_many` / :meth:`canonical_many` / :meth:`reconstruct_many`
-on every backend (numpy limb kernel, blocked pure-int, legacy per-sharing)
-to the legacy path: identical share values for identical RNG streams, with
+on both backends (numpy limb kernel, pure-int) to the single-sharing
+polynomial path — a loop of :meth:`share` / :meth:`canonical_sharing` /
+:meth:`reconstruct`: identical share values for identical RNG streams, with
 the RNG left in the identical end state.  Geometries cover k=1, n<2k−1,
 minimum and maximum degrees; moduli straddle the 63-bit numpy cutover.
 """
 
-import os
 import random
-from contextlib import contextmanager
+from contextlib import nullcontext
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,18 +18,18 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ParameterError, ReconstructionError
 from repro.fields import Zmod
 from repro.sharing import (
-    BACKEND_ENV,
     NUMPY_MODULUS_BITS,
     PackedShamirScheme,
+    kernel,
     matmul_mod,
     packed_scheme,
-    selected_backend,
+    resolve_backend,
 )
-from repro.sharing.kernel import numpy_available, numpy_supports
+from repro.sharing.kernel import NUMPY_MAX_INNER, numpy_available, numpy_supports
 
 P61 = (1 << 61) - 1  # the IT/Turbopack evaluators' Mersenne prime
 P63 = (1 << 63) - 25  # largest prime below 2**63: exactly at the cutover
-P127 = (1 << 127) - 1  # above the cutover: auto must fall back to int
+P127 = (1 << 127) - 1  # above the cutover: must resolve to int
 PSMALL = 10**6 + 3
 
 MODULI = [P61, P63, P127, PSMALL]
@@ -37,25 +38,13 @@ MODULI = [P61, P63, P127, PSMALL]
 GEOMETRIES = [(11, 5), (9, 2), (5, 1), (4, 3), (7, 7)]
 
 
-@contextmanager
-def forced_backend(name):
-    old = os.environ.get(BACKEND_ENV)
-    os.environ[BACKEND_ENV] = name
-    try:
-        yield
-    finally:
-        if old is None:
-            del os.environ[BACKEND_ENV]
-        else:
-            os.environ[BACKEND_ENV] = old
+def int_path():
+    """numpy declared unsupported: the int path at any modulus."""
+    return mock.patch.object(kernel, "numpy_supports", lambda modulus, inner: False)
 
 
-def fast_backends(modulus: int, n: int) -> list[str]:
-    """The non-legacy backends valid for this modulus/geometry."""
-    backends = ["int"]
-    if numpy_available() and numpy_supports(modulus, n):
-        backends.append("numpy")
-    return backends
+#: Scheme-level tests run on the backend the shape resolves to, then on int.
+BACKEND_MODES = [nullcontext, int_path]
 
 
 def sample_case(n: int, k: int, modulus: int, seed: int):
@@ -86,17 +75,18 @@ def test_share_many_matches_legacy(geom, modulus, seed):
     ring = Zmod(modulus)
     degrees, vectors = sample_case(n, k, modulus, seed)
     scheme = PackedShamirScheme(ring, n, k)
-    rng_legacy = random.Random(seed ^ 0x5EED)
-    with forced_backend("legacy"):
-        expected = scheme.share_many(vectors, degree=degrees, rng=rng_legacy)
-    for backend in fast_backends(modulus, n):
-        rng_fast = random.Random(seed ^ 0x5EED)
-        with forced_backend(backend):
-            got = scheme.share_many(vectors, degree=degrees, rng=rng_fast)
-        assert as_values(got) == as_values(expected), backend
+    rng_loop = random.Random(seed ^ 0x5EED)
+    expected = [
+        scheme.share(v, degree=d, rng=rng_loop) for v, d in zip(vectors, degrees)
+    ]
+    for mode in BACKEND_MODES:
+        rng_batched = random.Random(seed ^ 0x5EED)
+        with mode():
+            got = scheme.share_many(vectors, degree=degrees, rng=rng_batched)
+        assert as_values(got) == as_values(expected)
         # Same values is not enough: the batched path must consume the
         # RNG stream identically, or every downstream draw diverges.
-        assert rng_fast.getstate() == rng_legacy.getstate(), backend
+        assert rng_batched.getstate() == rng_loop.getstate()
 
 
 @settings(max_examples=40, deadline=None)
@@ -111,15 +101,14 @@ def test_canonical_many_matches_legacy(geom, modulus, seed):
     _, vectors = sample_case(n, k, modulus, seed)
     scheme = PackedShamirScheme(ring, n, k)
     index = random.Random(seed).randrange(1, n + 1)
-    with forced_backend("legacy"):
-        expected_full = scheme.canonical_many(vectors)
-        expected_one = scheme.canonical_many(vectors, index=index)
-    for backend in fast_backends(modulus, n):
-        with forced_backend(backend):
+    expected_full = [scheme.canonical_sharing(v) for v in vectors]
+    expected_one = [scheme.canonical_share_for(v, index) for v in vectors]
+    for mode in BACKEND_MODES:
+        with mode():
             got_full = scheme.canonical_many(vectors)
             got_one = scheme.canonical_many(vectors, index=index)
-        assert as_values(got_full) == as_values(expected_full), backend
-        assert as_values([got_one]) == as_values([expected_one]), backend
+        assert as_values(got_full) == as_values(expected_full)
+        assert as_values([got_one]) == as_values([expected_one])
 
 
 @settings(max_examples=40, deadline=None)
@@ -133,19 +122,14 @@ def test_reconstruct_many_matches_legacy(geom, modulus, seed):
     ring = Zmod(modulus)
     degrees, vectors = sample_case(n, k, modulus, seed)
     scheme = PackedShamirScheme(ring, n, k)
-    with forced_backend("legacy"):
-        sharings = scheme.share_many(
-            vectors, degree=degrees, rng=random.Random(seed)
-        )
-        expected = scheme.reconstruct_many(sharings)
-    for backend in fast_backends(modulus, n):
-        with forced_backend(backend):
+    rng = random.Random(seed)
+    sharings = [scheme.share(v, degree=d, rng=rng) for v, d in zip(vectors, degrees)]
+    expected = [[int(v) for v in scheme.reconstruct(s)] for s in sharings]
+    assert expected == [[v % modulus for v in vec] for vec in vectors]
+    for mode in BACKEND_MODES:
+        with mode():
             got = scheme.reconstruct_many(sharings)
-        assert [
-            [int(v) for v in row] for row in got
-        ] == [[int(v) for v in row] for row in expected], backend
-        for row, vec in zip(got, vectors):
-            assert [int(v) for v in row] == [v % modulus for v in vec]
+        assert [[int(v) for v in row] for row in got] == expected
 
 
 @settings(max_examples=25, deadline=None)
@@ -172,28 +156,29 @@ def test_matmul_mod_numpy_matches_int(rows, inner, cols, seed, modulus):
 
 class TestBackendSelection:
     def test_unknown_backend_rejected(self):
-        with forced_backend("vectorised"):
-            with pytest.raises(ParameterError):
-                selected_backend()
+        with pytest.raises(ParameterError):
+            matmul_mod(((1, 2),), [[3, 4]], P61, "vectorised")
 
     def test_numpy_forced_above_cutover_raises(self):
-        scheme = PackedShamirScheme(Zmod(P127), 8, 3)
-        with forced_backend("numpy"):
-            if not numpy_available():
-                pytest.skip("numpy not installed")
-            with pytest.raises(ParameterError):
-                scheme.share_many([[1, 2, 3]], rng=random.Random(0))
+        # The uint64 limbs would silently wrap: refuse instead.
+        wide = (1 << 63) + 9
+        with pytest.raises(ParameterError, match="64 bits"):
+            matmul_mod(((1, 2),), [[3, 4]], wide, "numpy")
+        inner = NUMPY_MAX_INNER + 1
+        with pytest.raises(ParameterError, match=f"inner dimension {inner}"):
+            matmul_mod(((1,) * inner,), [[1] * inner], P61, "numpy")
+        assert matmul_mod(((1, 2),), [[3, 4]], wide, "int") == [[11]]
 
     def test_cutover_rule(self):
-        # <= 63 bits: numpy eligible; above: auto must pick the int path.
+        # <= 63 bits and inner <= 4096: numpy; otherwise the int path.
         assert P63.bit_length() == NUMPY_MODULUS_BITS
-        if numpy_available():
-            assert numpy_supports(P63, 64)
+        fast = "numpy" if numpy_available() else "int"
+        assert resolve_backend(P61, 4096) == fast
+        assert resolve_backend(P63, 4096) == fast
+        assert resolve_backend(P61, 4097) == "int"
+        assert resolve_backend(P63, 4097) == "int"
+        assert resolve_backend(P127, 64) == "int"
         assert not numpy_supports(P127, 64)
-
-    def test_auto_is_default(self):
-        with forced_backend("auto"):
-            assert selected_backend() == "auto"
 
 
 class TestBatchedErrors:

@@ -11,25 +11,24 @@ reconstruct the protocol's bytes from announcements alone.
 Also covered: the quorum scheduler turning a silent worker into a §5.4
 fail-stop crash (within and beyond the crash budget), the fresh-process
 KeyRing bootstrap from a ``setup-keys`` envelope (satellite: ids stable
-across processes), and the once-per-process fallback warning regression.
+across processes), and a codec-foreign payload raising cleanly on both the
+synchronous and the asynchronous posting path.
 """
 
 import os
 import random
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
 
-from repro.accounting.comm import reset_fallback_warnings
 from repro.circuits import dot_product_circuit
 from repro.core import YosoMpc, run_mpc
 from repro.core.params import ProtocolParams
-from repro.errors import ParameterError, ProtocolAbortError
+from repro.errors import ParameterError, ProtocolAbortError, WireEncodeError
 from repro.wire import SocketTransport, make_transport
-from repro.yoso import BulletinBoard
+from repro.yoso import AsyncRoundScheduler, BulletinBoard
 
 CIRCUIT = dot_product_circuit(3)
 INPUTS = {"alice": [2, 3, 5], "bob": [7, 11, 13]}
@@ -79,14 +78,12 @@ class TestCrossProcessParity:
 
         def fingerprint(result):
             return [
-                (r.phase, r.sender, r.tag, r.n_bytes, r.exact)
+                (r.phase, r.sender, r.tag, r.n_bytes)
                 for r in result.meter.records
             ]
 
         assert fingerprint(mem) == fingerprint(sock)
         assert mem.meter.total_bytes() == sock.meter.total_bytes()
-        # Byte-real both ways: exact spans only, no estimates anywhere.
-        assert sock.meter.estimated_bytes() == 0
         stats = sock.transport.stats
         assert stats.dropped == 0
         assert stats.delivered_bytes == sock.meter.total_bytes()
@@ -190,54 +187,45 @@ class TestKeyRingBootstrap:
         assert local_ids  # the announcement path actually registered keys
 
 
-class TestFallbackWarningOncePerKind:
-    def test_warning_fires_once_per_kind_across_boards(self):
-        class Foreign:
-            """No wire codec, no sizer — the deprecated fallback path."""
+class TestForeignPayloadRaises:
+    """A payload with no wire codec is an error, and the error is clean."""
 
-        reset_fallback_warnings()
+    class Foreign:
+        """No wire codec."""
+
+    @staticmethod
+    def _state(board):
+        return (
+            len(board), list(board.meter.records), board.round,
+            board.transport.stats.delivered,
+        )
+
+    def test_synchronous_post(self):
+        board = BulletinBoard()
+        board.post("online", "x[1]", "dbg", {"value": 7})
+        board.advance_round()
+        before = self._state(board)
+        assert len(board) == 1 and board.transport.stats.delivered == 1
+        with pytest.raises(WireEncodeError):
+            board.post("online", "x[2]", "dbg", self.Foreign())
+        with pytest.raises(WireEncodeError):
+            board.post("online", "x[2]", "dbg", {"value": self.Foreign()})
+        assert self._state(board) == before
+
+    def test_asynchronous_submit(self):
+        transport = SocketTransport(workers=1, mode="pipe")
         try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                board_a = BulletinBoard()
-                board_a.post("online", "x[1]", "dbg", Foreign())
-                board_b = BulletinBoard()  # a *second* board instance
-                board_b.post("online", "x[2]", "dbg", Foreign())
-                board_b.post("online", "x[3]", "dbg", Foreign())
-            deprecations = [
-                w for w in caught
-                if issubclass(w.category, DeprecationWarning)
-                and "no wire codec" in str(w.message)
-            ]
-            assert len(deprecations) == 1, (
-                "the fallback warning must fire once per envelope kind, "
-                f"got {len(deprecations)}"
-            )
-            # The message names the kind and the symbolic replacement.
-            assert "generic" in str(deprecations[0].message)
-            assert "repro.accounting.symbolic" in str(deprecations[0].message)
+            board = BulletinBoard(transport=transport)
+            scheduler = AsyncRoundScheduler(board, quorum_timeout_s=10.0)
+            scheduler.submit(None, "online", "x[1]", "dbg", {"value": 7})
+            before = self._state(board)
+            assert scheduler.pending_count == 1
+            with pytest.raises(WireEncodeError):
+                scheduler.submit(None, "online", "x[2]", "dbg", self.Foreign())
+            assert self._state(board) == before
+            assert scheduler.pending_count == 1
+            # The launched post is unaffected by its neighbour's failure.
+            assert scheduler.finalize_round() == []
+            assert len(board) == 1 and transport.stats.delivered == 1
         finally:
-            reset_fallback_warnings()
-
-    def test_same_type_warns_again_under_a_different_kind(self):
-        class Foreign:
-            """Posted under two kinds: each kind gets its own warning."""
-
-        reset_fallback_warnings()
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                board = BulletinBoard()
-                board.post("online", "x[1]", "dbg", Foreign())
-                # "Con-out" is claimed by online.output — a distinct kind,
-                # so the estimated-bytes flag must fire for it too.
-                board.post("online", "x[1]", "Con-out", Foreign())
-                board.post("online", "x[2]", "Con-out", Foreign())
-            deprecations = [
-                w for w in caught
-                if issubclass(w.category, DeprecationWarning)
-                and "no wire codec" in str(w.message)
-            ]
-            assert len(deprecations) == 2
-        finally:
-            reset_fallback_warnings()
+            transport.close()

@@ -16,11 +16,9 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from repro.accounting import CircuitShape, CostModel
 from repro.accounting.symbolic import (
     PARAM_SYMBOL_NAMES,
     RUN_SYMBOL_NAMES,
-    SymbolicCostModel,
     envelope_formula,
     formula_catalog,
     spec_variants,
@@ -36,9 +34,8 @@ from repro.extensions import ItYosoMpc
 
 
 def _assert_exact(result):
-    """The contract: every kind formula-exact, nothing skipped."""
+    """The contract: every envelope on the board formula-exact."""
     report = verify_cost_exactness(result)
-    assert report.skipped == 0          # nothing took the legacy path
     assert report.envelopes == len(result.bulletin)
     for tot in report.totals:
         assert tot.measured_bytes == tot.formula_bytes
@@ -190,35 +187,3 @@ class TestFormulas:
         """S is a pure correction: each formula is (structural nominal) − S."""
         for variant, expr in formula_catalog().items():
             assert expr.coeff(sym("S")) == -1, variant
-
-
-class TestShimRegression:
-    """The legacy CostModel API must return the symbolic model's numbers."""
-
-    @pytest.fixture(scope="class")
-    def run(self):
-        return run_mpc(
-            dot_product_circuit(8),
-            {"alice": list(range(1, 9)), "bob": [2] * 8},
-            n=6, epsilon=0.25, seed=31,
-        )
-
-    def test_predictions_identical(self, run):
-        shape = CircuitShape.of(run.circuit, run.plan)
-        old = CostModel(run.params, shape, run.setup.proof_params)
-        new = SymbolicCostModel(run.params, shape, run.setup.proof_params)
-        assert old.predict_offline().n_bytes == new.predict_offline().n_bytes
-        assert old.predict_offline().messages == new.predict_offline().messages
-        assert old.predict_online().n_bytes == new.predict_online().n_bytes
-        assert old.predict_online().messages == new.predict_online().messages
-        assert old.online_mul_bytes_per_gate() == new.online_mul_bytes_per_gate()
-        assert old.offline_bytes_per_gate() == new.offline_bytes_per_gate()
-        assert old.mu_share_bytes == new.mu_entry_bytes()
-
-    def test_per_gate_matches_meter_tightly(self, run):
-        shape = CircuitShape.of(run.circuit, run.plan)
-        model = CostModel(run.params, shape, run.setup.proof_params)
-        measured = run.online_mul_bytes() / run.circuit.n_multiplications
-        assert measured == pytest.approx(
-            model.online_mul_bytes_per_gate(), rel=0.02
-        )

@@ -134,7 +134,7 @@ class TestParity:
 
         def fingerprint(result):
             return [
-                (r.phase, r.sender, r.tag, r.n_bytes, r.exact)
+                (r.phase, r.sender, r.tag, r.n_bytes)
                 for r in result.meter.records
             ]
 
@@ -147,9 +147,7 @@ class TestParity:
         stats = result.transport.stats
         assert stats.dropped == 0
         assert result.meter.total_bytes() == stats.delivered_bytes
-        # Byte-real board: every byte measured from an envelope, none modeled.
-        assert result.meter.exact_bytes() == result.meter.total_bytes()
-        assert result.meter.estimated_bytes() == 0
+        assert result.meter.total_bytes() == result.bulletin.encoded_total_bytes()
 
 
 class TestFailStopUnderSimTransport:
