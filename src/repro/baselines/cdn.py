@@ -2,15 +2,18 @@
 
 The circuit is evaluated **gate by gate over ciphertexts** under the global
 threshold key: clients broadcast encryptions of their inputs; linear gates
-are free (homomorphic); every multiplication consumes an encrypted Beaver
+are free (the compiled program's linear walk over ciphertexts, value
+rule); every multiplication consumes an encrypted Beaver
 triple by *threshold-decrypting* the two masked openings ε = x + a and
 δ = y + b — so every gate costs ~2n partial decryptions **online**, the
 Θ(n)-per-gate bottleneck the paper's packing construction removes (§1, §3).
 
-The triple generation (offline) and the tsk hand-off chain reuse the same
-substrates as the main protocol, so the comparison in
-``benchmarks/bench_vs_cdn.py`` is apples-to-apples: same threshold
-encryption, same proofs, same bulletin metering.
+What is here is the schedule — triple-A, triple-B, one eval committee per
+depth, out — and the per-wire triple programs.  Every step the baseline
+shares with the main protocol *is* the main protocol's code (verified
+contribution sums, ε/δ opening, output delivery, the
+:class:`~repro.core.resharing.Handoff` chain), so the comparison in
+``benchmarks/bench_vs_cdn.py`` is apples-to-apples.
 """
 
 from __future__ import annotations
@@ -20,30 +23,24 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from repro.accounting.comm import CommMeter
-from repro.circuits.circuit import Circuit, GateType
+from repro.circuits.circuit import Circuit
 from repro.circuits.program import compile_circuit
-from repro.engine.batch import scalar_mul_many, teval_many
+from repro.core.offline import sum_contributions, sum_products
 from repro.core.reencrypt import (
-    EncryptedPartial,
-    PublicPartial,
-    combine_public,
-    public_decrypt_contribution,
-    recover_reencrypted,
-    reencrypt_contribution,
+    beaver_openings,
+    combine_openings,
+    decrypt_openings,
+    recover_outputs,
+    reencrypt_outputs,
 )
-from repro.core.resharing import (
-    EncryptedResharing,
-    build_resharing,
-    next_verifications,
-    receive_share,
-    verified_contributors,
-)
+from repro.core.resharing import Handoff, build_resharing
+from repro.engine.batch import teval_many
 from repro.errors import ProtocolAbortError
 from repro.fields.ring import Zmod
 from repro.nizk.params import ProofParams
 from repro.nizk.sigma import MultiplicationProof, PlaintextKnowledgeProof
 from repro.paillier.paillier import PaillierCiphertext
-from repro.paillier.threshold import ThresholdPaillier, teval
+from repro.paillier.threshold import ThresholdPaillier
 from repro.rng import fresh_rng
 from repro.wire.codec import KeyAnnouncement
 from repro.wire.registry import register_kind
@@ -119,7 +116,8 @@ class CdnYosoMpc:
             self.n, self.t, bits=self.te_bits, rng=rng
         )
         ring = Zmod(tpk.n, assume_prime=False)
-        verifications = {0: {s.index: s.verification for s in tsk_shares}}
+        # Verification keys of whichever committee holds tsk right now.
+        verifications = {s.index: s.verification for s in tsk_shares}
         # Announce tpk in-band so cross-process decoders can resolve every
         # later Cdn-* ciphertext compressed against it.
         env.bulletin.post(
@@ -129,11 +127,10 @@ class CdnYosoMpc:
 
         # The baseline is unpacked (k = 1), but the same compiled program
         # drives its gate-by-gate evaluation: depth schedule, per-client
-        # segments, and the layer/run arrays the linear propagation walks.
+        # segments, and the linear walk.
         program = compile_circuit(circuit, 1)
         mul_wires = list(program.mul_wires)
-        mul_depths = list(program.mul_depths)
-        by_depth = {d: list(program.muls_by_depth[d]) for d in mul_depths}
+        mul_depths = program.mul_depths
 
         # Committee chain: triple-A (holds tsk) -> eval committees -> out.
         chain = ["Cdn-triple-A"] + [f"Cdn-eval-{d}" for d in mul_depths] + ["Cdn-out"]
@@ -168,33 +165,14 @@ class CdnYosoMpc:
             view.speak("Cdn-triple-A", {"beaver_a": contributions, "tsk": resharing})
 
         env.run_committee(committees[chain[0]], program_a)
-        posts_a = env.bulletin.by_sender("Cdn-triple-A")
+        # The tsk resharings ride in the same posts; the next committee's
+        # hand-off is verified when that committee is about to speak.
+        tsk_posts = env.posts_by_index(committees[chain[0]])
 
-        beaver_a: dict[int, PaillierCiphertext] = {}
-        for wire in mul_wires:
-            verified = []
-            for role in committees[chain[0]]:
-                payload = posts_a.get(str(role.id))
-                entry = (payload or {}).get("beaver_a", {}).get(wire)
-                if not isinstance(entry, dict):
-                    continue
-                ct, proof = entry.get("ct"), entry.get("proof")
-                if isinstance(ct, PaillierCiphertext) and isinstance(
-                    proof, PlaintextKnowledgeProof
-                ) and proof.verify(
-                    tpk.paillier, ct, proof_params,
-                    context=f"cdn-a|{wire}|{role.id.index}",
-                ):
-                    verified.append(ct)
-            if not verified:
-                raise ProtocolAbortError(f"CDN: no verified a-contribution for {wire}")
-            beaver_a[wire] = teval(tpk, verified, [1] * len(verified))
-
-        resharings = {
-            role.id.index: posts_a[str(role.id)]["tsk"]
-            for role in committees[chain[0]]
-            if isinstance(posts_a.get(str(role.id), {}).get("tsk"), EncryptedResharing)
-        }
+        beaver_a = sum_contributions(
+            tpk, proof_params, tsk_posts, "beaver_a", mul_wires,
+            lambda wire: f"cdn-a|{wire}",
+        )
 
         def program_b(view):
             contributions = {}
@@ -211,32 +189,10 @@ class CdnYosoMpc:
             view.speak("Cdn-triple-B", {"beaver_b": contributions})
 
         env.run_committee(committees["Cdn-triple-B"], program_b)
-        posts_b = env.bulletin.by_sender("Cdn-triple-B")
-
-        beaver_b: dict[int, PaillierCiphertext] = {}
-        beaver_c: dict[int, PaillierCiphertext] = {}
-        for wire in mul_wires:
-            verified_b, verified_c = [], []
-            for role in committees["Cdn-triple-B"]:
-                entry = (posts_b.get(str(role.id)) or {}).get("beaver_b", {}).get(wire)
-                if not isinstance(entry, dict):
-                    continue
-                b_ct, c_ct, proof = entry.get("b_ct"), entry.get("c_ct"), entry.get("proof")
-                if (
-                    isinstance(b_ct, PaillierCiphertext)
-                    and isinstance(c_ct, PaillierCiphertext)
-                    and isinstance(proof, MultiplicationProof)
-                    and proof.verify(
-                        tpk.paillier, beaver_a[wire], b_ct, c_ct, proof_params,
-                        context=f"cdn-b|{wire}|{role.id.index}",
-                    )
-                ):
-                    verified_b.append(b_ct)
-                    verified_c.append(c_ct)
-            if not verified_b:
-                raise ProtocolAbortError(f"CDN: no verified b-contribution for {wire}")
-            beaver_b[wire] = teval(tpk, verified_b, [1] * len(verified_b))
-            beaver_c[wire] = teval(tpk, verified_c, [1] * len(verified_c))
+        beaver_b, beaver_c = sum_products(
+            tpk, proof_params, env.posts_by_index(committees["Cdn-triple-B"]),
+            beaver_a, mul_wires, "cdn-b",
+        )
 
         # ---- Online: inputs, per-depth decryption committees, output --------
 
@@ -252,16 +208,7 @@ class CdnYosoMpc:
             segment.client: env.client(f"cdn-client-out:{segment.client}")
             for segment in program.output_segments
         }
-        for segment in program.input_segments:
-            client = segment.client
-            wires = list(segment.wires)
-            supplied = list(inputs.get(client, []))
-            if len(supplied) != len(wires):
-                raise ProtocolAbortError(
-                    f"client {client!r}: supplied {len(supplied)} inputs, "
-                    f"need {len(wires)}"
-                )
-
+        for client, wires, supplied in program.client_inputs(inputs):
             def program_client(view, wires=wires, supplied=supplied, client=client):
                 encs = {}
                 for wire, value in zip(wires, supplied):
@@ -294,196 +241,80 @@ class CdnYosoMpc:
                     entry["ct"] if ok else tpk.encrypt(0, randomness=1)
                 )
 
-        constants = program.constants
-
         def propagate_linear() -> None:
-            # Layer-by-layer over the compiled program, one engine batch per
-            # (layer, kind) run.  Gates whose sources are not yet ciphertexts
-            # (operands behind an unopened multiplication) are skipped and
-            # picked up by the propagation after that depth's committee.
-            for layer in program.layers:
-                for run in layer.runs:
-                    kind = run.kind
-                    if kind is GateType.ADD or kind is GateType.SUB:
-                        coeffs = [1, 1] if kind is GateType.ADD else [1, -1]
-                        ready = [
-                            (w, a, b)
-                            for w, a, b in zip(run.wires, run.src0, run.src1)
-                            if w not in wire_cipher
-                            and a in wire_cipher and b in wire_cipher
-                        ]
-                        results = teval_many(tpk, [
-                            ([wire_cipher[a], wire_cipher[b]], coeffs)
-                            for _, a, b in ready
-                        ])
-                        for (w, _, _), ct in zip(ready, results):
-                            wire_cipher[w] = ct
-                    elif kind is GateType.CMUL:
-                        ready = [
-                            (w, a, ci)
-                            for w, a, ci in zip(
-                                run.wires, run.src0, run.const_index
-                            )
-                            if w not in wire_cipher and a in wire_cipher
-                        ]
-                        results = scalar_mul_many(
-                            [wire_cipher[a] for _, a, _ in ready],
-                            [constants[ci] for _, _, ci in ready],
-                        )
-                        for (w, _, _), ct in zip(ready, results):
-                            wire_cipher[w] = ct
-                    elif kind is GateType.CADD:
-                        # ct + const is one modular multiply — no engine win.
-                        for w, a, ci in zip(run.wires, run.src0, run.const_index):
-                            if w not in wire_cipher and a in wire_cipher:
-                                wire_cipher[w] = wire_cipher[a] + constants[ci]
-                    elif kind is GateType.OUTPUT:
-                        for w, a in zip(run.wires, run.src0):
-                            if w not in wire_cipher and a in wire_cipher:
-                                wire_cipher[w] = wire_cipher[a]
+            # Values, so CADD shifts: ct + const is one modular multiply.
+            program.propagate_linear_batched(
+                wire_cipher,
+                lambda groups: teval_many(tpk, groups),
+                lambda ct, constant: ct + constant,
+            )
 
         propagate_linear()
 
-        epoch = 0
-        for hop, depth in enumerate(mul_depths):
+        for epoch, depth in enumerate(mul_depths):
             name = f"Cdn-eval-{depth}"
             committee = committees[name]
-            contributor_set = verified_contributors(
-                tpk, resharings, verifications[epoch],
-                committee.public_keys(), proof_params,
+            handoff = Handoff.from_posts(
+                tpk, tsk_posts, verifications, committee.public_keys(),
+                proof_params, previous_epoch=epoch,
             )
-            verifications[epoch + 1] = next_verifications(
-                tpk, resharings, contributor_set
+            verifications = handoff.verifications
+            openings = beaver_openings(
+                tpk, circuit.gates, program.muls_by_depth[depth], wire_cipher,
+                beaver_a, beaver_b,
             )
-            gates_here = by_depth[depth]
-            # One engine batch per masked-opening kind instead of a teval
-            # per gate (teval_many is value-identical to the teval loop).
-            eps_cipher = dict(zip(gates_here, teval_many(tpk, [
-                ([wire_cipher[circuit.gates[w].inputs[0]], beaver_a[w]], [1, 1])
-                for w in gates_here
-            ])))
-            delta_cipher = dict(zip(gates_here, teval_many(tpk, [
-                ([wire_cipher[circuit.gates[w].inputs[1]], beaver_b[w]], [1, 1])
-                for w in gates_here
-            ])))
-            next_name = chain[chain.index(name) + 1]
-            hop_pks = committees[next_name].public_keys()
-            local_resharings = resharings
-            local_set = contributor_set
-            local_epoch = epoch
+            hop_pks = committees[chain[chain.index(name) + 1]].public_keys()
 
             def program_eval(view):
-                share = receive_share(
-                    tpk, view.index, view.secret_key, local_resharings,
-                    local_set, previous_epoch=local_epoch,
+                share = handoff.receive(tpk, view.index, view.secret_key)
+                partials = decrypt_openings(
+                    tpk, share, openings, proof_params, view.rng
                 )
-                partials = {
-                    w: {
-                        "eps": public_decrypt_contribution(
-                            tpk, share, eps_cipher[w], proof_params, view.rng
-                        ),
-                        "delta": public_decrypt_contribution(
-                            tpk, share, delta_cipher[w], proof_params, view.rng
-                        ),
-                    }
-                    for w in gates_here
-                }
                 resharing = build_resharing(
                     tpk, share, hop_pks, proof_params, view.rng
                 )
                 view.speak(name, {"partials": partials, "tsk": resharing})
 
             env.run_committee(committee, program_eval)
-            posts = env.bulletin.by_sender(name)
-            resharings = {
-                role.id.index: posts[str(role.id)]["tsk"]
-                for role in committee
-                if isinstance(
-                    posts.get(str(role.id), {}).get("tsk"), EncryptedResharing
-                )
-            }
-            epoch += 1
+            tsk_posts = env.posts_by_index(committee)
 
-            opened: list[tuple[int, int, int]] = []
-            for w in gates_here:
-                eps_list = [
-                    p["partials"][w]["eps"]
-                    for p in posts.values()
-                    if isinstance(
-                        p.get("partials", {}).get(w, {}).get("eps"), PublicPartial
-                    )
-                ]
-                delta_list = [
-                    p["partials"][w]["delta"]
-                    for p in posts.values()
-                    if isinstance(
-                        p.get("partials", {}).get(w, {}).get("delta"), PublicPartial
-                    )
-                ]
-                eps = combine_public(
-                    tpk, eps_cipher[w], eps_list, verifications[epoch], proof_params
-                )
-                delta = combine_public(
-                    tpk, delta_cipher[w], delta_list, verifications[epoch],
-                    proof_params,
-                )
-                opened.append((w, eps, delta))
+            opened = combine_openings(
+                tpk, openings, tsk_posts, verifications, proof_params
+            )
             # z = εδ − ε·b − δ·a + c, one engine batch across the depth.
             z_cts = teval_many(tpk, [
                 ([tpk.encrypt(eps * delta % tpk.n, randomness=1),
                   beaver_b[w], beaver_a[w], beaver_c[w]],
                  [1, -eps, -delta, 1])
-                for w, eps, delta in opened
+                for w, (eps, delta) in opened.items()
             ])
-            for (w, _, _), ct in zip(opened, z_cts):
-                wire_cipher[w] = ct
+            wire_cipher.update(zip(opened, z_cts))
             propagate_linear()
 
         # ---- Output: Re-encrypt* each output ciphertext to its client -------
 
         out_committee = committees["Cdn-out"]
-        contributor_set = verified_contributors(
-            tpk, resharings, verifications[epoch],
-            out_committee.public_keys(), proof_params,
+        handoff = Handoff.from_posts(
+            tpk, tsk_posts, verifications, out_committee.public_keys(),
+            proof_params, previous_epoch=len(mul_depths),
         )
-        verifications[epoch + 1] = next_verifications(tpk, resharings, contributor_set)
-        output_wires = list(circuit.output_wires)
-        final_resharings = resharings
-        final_set = contributor_set
-        final_epoch = epoch
+        recipients = {
+            w: out_client_roles[circuit.gates[w].client]
+            for w in circuit.output_wires
+        }
 
         def program_out(view):
-            share = receive_share(
-                tpk, view.index, view.secret_key, final_resharings, final_set,
-                previous_epoch=final_epoch,
+            share = handoff.receive(tpk, view.index, view.secret_key)
+            bundle = reencrypt_outputs(
+                tpk, share, wire_cipher, recipients, proof_params, view.rng
             )
-            bundle = {
-                w: reencrypt_contribution(
-                    tpk, share, wire_cipher[w],
-                    out_client_roles[circuit.gates[w].client].public_key,
-                    proof_params, view.rng,
-                )
-                for w in output_wires
-            }
             view.speak("Cdn-out", {"output": bundle})
 
         env.run_committee(out_committee, program_out)
-        posts_out = env.bulletin.by_sender("Cdn-out")
-
-        outputs: dict[str, list[int]] = {}
-        for w in output_wires:
-            client = circuit.gates[w].client
-            contributions = [
-                p["output"][w]
-                for p in posts_out.values()
-                if isinstance(p.get("output", {}).get(w), EncryptedPartial)
-            ]
-            value = recover_reencrypted(
-                tpk, wire_cipher[w], contributions,
-                out_client_roles[client].secret_key,
-                verifications[epoch + 1], proof_params,
-            )
-            outputs.setdefault(client, []).append(value)
+        outputs = program.outputs_by_client(recover_outputs(
+            tpk, env.posts_by_index(out_committee), wire_cipher, recipients,
+            handoff.verifications, proof_params,
+        ))
 
         result = CdnResult(
             outputs=outputs, n=self.n, t=self.t, circuit=circuit,

@@ -28,13 +28,17 @@ Compilation is deterministic and cached on the circuit instance keyed by
 identity, so a mutated-in-place circuit recompiles instead of serving a
 stale program).  ``CircuitProgram.evaluate`` is the vectorized plaintext
 path — bit-identical to :meth:`Circuit.evaluate` by construction, which
-the property tests pin on random circuits.
+the property tests pin on random circuits.  The linear-gate rules the
+protocols apply between multiplications are written once, here
+(``propagate_linear`` / ``propagate_linear_batched``).
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Callable, Iterator, Mapping, MutableMapping, Sequence
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from typing import TypeVar, Union
 
 from repro.circuits.circuit import (
     Circuit,
@@ -46,7 +50,7 @@ from repro.circuits.layering import (
     MultiplicationBatch,
     plan_batches,
 )
-from repro.errors import CircuitError
+from repro.errors import CircuitError, ProtocolAbortError
 from repro.fields import Zmod, ZmodElement
 from repro.observability import hooks as _hooks
 
@@ -58,6 +62,11 @@ __all__ = [
     "OutputSegment",
     "compile_circuit",
 ]
+
+#: A homomorphic element the batched walk moves around (a ciphertext).
+T = TypeVar("T")
+#: An output value (a ring element in plaintext, an int off a protocol run).
+V = TypeVar("V")
 
 _BINARY_KINDS = frozenset((GateType.ADD, GateType.SUB, GateType.MUL))
 _CONST_KINDS = frozenset((GateType.CADD, GateType.CMUL))
@@ -230,12 +239,120 @@ class CircuitProgram:
                     f"client {client!r} supplied {len(supplied)} inputs, "
                     f"circuit consumed {cursors.get(client, 0)}"
                 )
-        outputs: dict[str, list[ZmodElement]] = {}
-        for segment in self.output_segments:
-            outputs[segment.client] = [values[w] for w in segment.wires]
+        outputs = self.outputs_by_client(values)
         return CircuitEvaluation(
             tuple(values), {c: tuple(v) for c, v in outputs.items()}
         )
+
+    # -- the client-facing ends of a protocol run ----------------------------
+
+    def client_inputs(
+        self, inputs: Mapping[str, Sequence[int]]
+    ) -> Iterator[tuple[str, tuple[int, ...], list[int]]]:
+        """Each input client with its wires and the values supplied for them."""
+        for segment in self.input_segments:
+            supplied = list(inputs.get(segment.client, []))
+            if len(supplied) != len(segment.wires):
+                raise ProtocolAbortError(
+                    f"client {segment.client!r} supplied {len(supplied)} "
+                    f"inputs, circuit needs {len(segment.wires)}"
+                )
+            yield segment.client, segment.wires, supplied
+
+    def outputs_by_client(
+        self, values: Sequence[V] | Mapping[int, V]
+    ) -> dict[str, list[V]]:
+        """Per-client output lists, delivery order, from per-wire values."""
+        return {
+            segment.client: [values[w] for w in segment.wires]
+            for segment in self.output_segments
+        }
+
+    # -- linear-gate propagation --------------------------------------------
+    #
+    # The rules every evaluator applies between multiplications: ADD/SUB
+    # combine, CMUL scales, OUTPUT exposes its source, and CADD shifts a
+    # *value* (v, or the public μ = v − λ) but leaves a *mask* λ unchanged
+    # — the constant lands in μ.  Both walks are availability-checked: a
+    # wire whose operands sit behind an unopened multiplication stays
+    # unknown until a later pass.
+
+    def propagate_linear(
+        self, ring: Zmod, wires: list[ZmodElement | None], *, masks: bool
+    ) -> None:
+        """Fill every linear wire of ``wires`` (wire-indexed, None = unknown).
+
+        ``masks`` says what the entries are: masks skip constant additions.
+        """
+        constants = [ring.element(c) for c in self.constants]
+        for layer in self.layers:
+            for run in layer.runs:
+                kind = run.kind
+                if kind is GateType.ADD or kind is GateType.SUB:
+                    op = operator.add if kind is GateType.ADD else operator.sub
+                    for w, a, b in zip(run.wires, run.src0, run.src1):
+                        if wires[w] is None:
+                            va, vb = wires[a], wires[b]
+                            if va is not None and vb is not None:
+                                wires[w] = op(va, vb)
+                elif kind is GateType.CMUL or (kind is GateType.CADD and not masks):
+                    op = operator.mul if kind is GateType.CMUL else operator.add
+                    for w, a, ci in zip(run.wires, run.src0, run.const_index):
+                        va = wires[a]
+                        if wires[w] is None and va is not None:
+                            wires[w] = op(va, constants[ci])
+                elif kind is GateType.CADD or kind is GateType.OUTPUT:
+                    for w, a in zip(run.wires, run.src0):
+                        if wires[w] is None:
+                            wires[w] = wires[a]
+
+    def propagate_linear_batched(
+        self,
+        wires: MutableMapping[int, T],
+        combine: Callable[[list[tuple[list[T], list[int]]]], list[T]],
+        add_constant: Callable[[T, int], T] | None,
+    ) -> None:
+        """The same rules over homomorphic elements, one batch per run.
+
+        ``combine`` evaluates many (operands, integer coefficients) linear
+        combinations at once — the (layer, kind) run's whole workload in
+        one engine call.  ``add_constant`` is the value rule for CADD;
+        None means the elements are masks.
+        """
+        constants = self.constants
+        for layer in self.layers:
+            for run in layer.runs:
+                kind = run.kind
+                if kind is GateType.ADD or kind is GateType.SUB:
+                    coeffs = [1, 1] if kind is GateType.ADD else [1, -1]
+                    ready = [
+                        (w, [a, b], coeffs)
+                        for w, a, b in zip(run.wires, run.src0, run.src1)
+                        if w not in wires and a in wires and b in wires
+                    ]
+                elif kind is GateType.CMUL:
+                    ready = [
+                        (w, [a], [constants[ci]])
+                        for w, a, ci in zip(run.wires, run.src0, run.const_index)
+                        if w not in wires and a in wires
+                    ]
+                elif kind is GateType.CADD and add_constant is not None:
+                    for w, a, ci in zip(run.wires, run.src0, run.const_index):
+                        if w not in wires and a in wires:
+                            wires[w] = add_constant(wires[a], constants[ci])
+                    continue
+                elif kind is GateType.CADD or kind is GateType.OUTPUT:
+                    for w, a in zip(run.wires, run.src0):
+                        if w not in wires and a in wires:
+                            wires[w] = wires[a]
+                    continue
+                else:  # INPUT/MUL wires are the protocol's to fill
+                    continue
+                results = combine(
+                    [([wires[s] for s in srcs], cs) for _, srcs, cs in ready]
+                )
+                for (w, _, _), result in zip(ready, results):
+                    wires[w] = result
 
 
 # ---------------------------------------------------------------------------

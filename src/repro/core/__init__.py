@@ -34,21 +34,20 @@ from repro.core.offline import (
     run_reencryption_bridge,
     sample_offline_committees,
 )
-from repro.core.online import MuTracker, OnlineState, run_online, sample_online_committees
+from repro.core.online import OnlineState, run_online, sample_online_committees
 from repro.core.oracle import MuShareOracle
 from repro.core.reencrypt import (
     EncryptedPartial,
     PublicPartial,
     combine_public,
-    public_decrypt_contribution,
     public_decrypt_contributions,
     recover_reencrypted,
-    reencrypt_contribution,
     reencrypt_contributions,
 )
 from repro.core.resharing import (
     EncryptedResharing,
     EncryptedSubshare,
+    Handoff,
     build_resharing,
     next_verifications,
     receive_share,
@@ -71,7 +70,6 @@ __all__ = [
     "run_offline",
     "run_reencryption_bridge",
     "sample_offline_committees",
-    "MuTracker",
     "OnlineState",
     "run_online",
     "sample_online_committees",
@@ -79,13 +77,12 @@ __all__ = [
     "EncryptedPartial",
     "PublicPartial",
     "combine_public",
-    "public_decrypt_contribution",
     "public_decrypt_contributions",
     "recover_reencrypted",
-    "reencrypt_contribution",
     "reencrypt_contributions",
     "EncryptedResharing",
     "EncryptedSubshare",
+    "Handoff",
     "build_resharing",
     "next_verifications",
     "receive_share",

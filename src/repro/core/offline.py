@@ -9,8 +9,9 @@ Five steps across four speaking committees plus public local computation:
    to ``λ^α`` for every input/multiplication output wire, plus the helper
    randomness used by the packing step; sums over the verified sets give
    uniformly random masks.
-3. **Dependent wire masks** — public TEval propagation through
-   addition/constant gates, then for each multiplication gate the
+3. **Dependent wire masks** — the compiled program's linear walk over
+   ciphertexts (mask rule, one TEval batch per run), then for each
+   multiplication gate the
    committee Coff-dec threshold-decrypts ``ε = λ^α + a`` and
    ``δ = λ^β + b`` (Protocol 2) and everyone computes the encryption of
    ``Γ^γ = λ^α·λ^β − λ^γ`` homomorphically.
@@ -24,36 +25,31 @@ Five steps across four speaking committees plus public local computation:
    online phase stays O(1) per gate.
 
 The tsk hand-off chain (Coff-A → Coff-dec → Coff-reenc → Con-keys) rides
-along inside each committee's single message via
-:mod:`repro.core.resharing`.  Coff-reenc is sampled during the offline
-phase but *speaks at the online boundary* — its resharing targets the first
-online committee, whose role keys exist only then (its other outputs target
-KFFs and never needed online identities; that is the whole point of KFF).
+along inside each committee's single message; each link is one
+:class:`repro.core.resharing.Handoff`, verified where its posts are read
+and kept in :attr:`OfflineState.handoffs` for the phase that consumes it.
+Coff-reenc is sampled during the offline phase but *speaks at the online
+boundary* — its resharing targets the first online committee, whose role
+keys exist only then (its other outputs target KFFs and never needed
+online identities; that is the whole point of KFF).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
-from repro.circuits.circuit import GateType
 from repro.circuits.program import CircuitProgram
 from repro.core.params import ProtocolParams
 from repro.core.reencrypt import (
     EncryptedPartial,
-    PublicPartial,
-    combine_public,
-    public_decrypt_contributions,
+    beaver_openings,
+    combine_openings,
+    decrypt_openings,
+    posted,
     reencrypt_contributions,
 )
-from repro.core.resharing import (
-    EncryptedResharing,
-    build_resharing,
-    next_verifications,
-    receive_share,
-    verified_contributors,
-)
+from repro.core.resharing import Handoff, build_resharing
 from repro.core.setup import (
     OFFLINE_A,
     OFFLINE_B,
@@ -68,9 +64,11 @@ from repro.core.setup import (
 )
 from repro.engine.batch import encrypt_many, scalar_mul_many, teval_many
 from repro.errors import ProtocolAbortError
+from repro.nizk.params import ProofParams
 from repro.nizk.sigma import MultiplicationProof, PlaintextKnowledgeProof
 from repro.observability.tracer import KIND_BATCH, maybe_span
 from repro.paillier.paillier import PaillierCiphertext, PaillierPublicKey
+from repro.paillier.threshold import ThresholdPublicKey
 from repro.sharing.packed import packed_scheme, secret_slots
 from repro.wire.registry import register_kind
 from repro.yoso.committees import Committee
@@ -119,8 +117,9 @@ class OfflineState:
     packed_bundles: dict[tuple[int, int, str], list[EncryptedPartial]] = field(
         default_factory=dict
     )
-    #: tsk resharings addressed to the first online committee
-    bridge_resharings: dict[int, EncryptedResharing] = field(default_factory=dict)
+    #: tsk hand-offs by sending epoch: 0 Coff-A → Coff-dec, 1 Coff-dec →
+    #: Coff-reenc, 2 Coff-reenc → Con-keys
+    handoffs: dict[int, Handoff] = field(default_factory=dict)
     #: verification keys by epoch: 0 Coff-A, 1 Coff-dec, 2 Coff-reenc, 3 Con-keys
     verifications: dict[int, dict[int, int]] = field(default_factory=dict)
 
@@ -130,49 +129,106 @@ class OfflineState:
 # ---------------------------------------------------------------------------
 
 
-def _verified_contributions(
-    setup: SetupArtifacts,
-    posts: Mapping[int, Mapping],
-    key: str,
-    context_prefix: str,
-) -> list[PaillierCiphertext]:
-    """Contributions with valid plaintext-knowledge proofs (Step 1/2 glue).
+def _proved_encryptions(
+    setup: SetupArtifacts, view, keys: Sequence, context_of: Callable[[Any], str]
+) -> dict[Any, dict]:
+    """One member's contributions: a fresh random value per key with its PoPK.
 
-    ``posts[sender]`` is the sender's payload section; entry ``key`` must be
-    ``{"ct": ciphertext, "proof": PlaintextKnowledgeProof}``.  Returns the
-    verified ciphertexts in sender order; callers TEval-sum them, batching
-    all aggregated values through the engine in one go.
+    Draws all values, then all randomizers (fixed order), encrypts as one
+    engine batch; proofs follow in key order under
+    ``context_of(key)|member`` — the shape :func:`sum_contributions` reads.
     """
-    verified: list[PaillierCiphertext] = []
-    for sender, sections in sorted(posts.items()):
-        entry = sections.get(key)
-        if not isinstance(entry, Mapping):
-            continue
-        ct, proof = entry.get("ct"), entry.get("proof")
-        if not isinstance(ct, PaillierCiphertext) or not isinstance(
-            proof, PlaintextKnowledgeProof
-        ):
-            continue
-        if proof.verify(
-            setup.tpk.paillier, ct, setup.proof_params,
-            context=f"{context_prefix}|{sender}",
-        ):
-            verified.append(ct)
-    return verified
+    tpk = setup.tpk
+    values = [setup.ring.random(view.rng) for _ in keys]
+    randomizers = [tpk.paillier.random_unit(view.rng) for _ in keys]
+    cts = encrypt_many(tpk.paillier, [int(v) for v in values], randomizers)
+    contributions = {}
+    for key, value, randomness, ct in zip(keys, values, randomizers, cts):
+        proof = PlaintextKnowledgeProof.prove(
+            tpk.paillier, ct, int(value), randomness, setup.proof_params, view.rng,
+            context=f"{context_of(key)}|{view.index}",
+        )
+        contributions[key] = {"ct": ct, "proof": proof}
+    return contributions
 
 
-def _posts_by_index(env: ProtocolEnvironment, committee: Committee) -> dict[int, dict]:
-    """Latest payload of each committee member, keyed by member index."""
-    out: dict[int, dict] = {}
-    tag = committee.name
-    for sender, payload in env.bulletin.by_sender(tag).items():
-        if not isinstance(payload, dict):
-            continue
-        for role in committee:
-            if str(role.id) == sender:
-                out[role.id.index] = payload
-                break
-    return out
+def sum_contributions(
+    tpk: ThresholdPublicKey,
+    proof_params: ProofParams,
+    posts: Mapping[int, Mapping],
+    section: str,
+    keys: Sequence,
+    context_of: Callable[[Any], str],
+) -> dict[Any, PaillierCiphertext]:
+    """Per key, the TEval sum of the contributions with valid PoPKs.
+
+    ``posts[sender][section][key]`` must be ``{"ct": ciphertext, "proof":
+    PlaintextKnowledgeProof}``, proved under ``context_of(key)|sender``;
+    a sum over the verified set of a committee with one honest member is
+    uniformly random.  All keys' sums go through the engine as one batch.
+    """
+    groups = []
+    for key in keys:
+        verified = []
+        for sender, payload in sorted(posts.items()):
+            entry = payload.get(section, {}).get(key)
+            if not isinstance(entry, Mapping):
+                continue
+            ct, proof = entry.get("ct"), entry.get("proof")
+            if (
+                isinstance(ct, PaillierCiphertext)
+                and isinstance(proof, PlaintextKnowledgeProof)
+                and proof.verify(
+                    tpk.paillier, ct, proof_params,
+                    context=f"{context_of(key)}|{sender}",
+                )
+            ):
+                verified.append(ct)
+        if not verified:
+            raise ProtocolAbortError(f"no verified {section} contribution for {key}")
+        groups.append((verified, [1] * len(verified)))
+    return dict(zip(keys, teval_many(tpk, groups)))
+
+
+def sum_products(
+    tpk: ThresholdPublicKey,
+    proof_params: ProofParams,
+    posts: Mapping[int, Mapping],
+    beaver_a: Mapping[int, PaillierCiphertext],
+    wires: Sequence[int],
+    context: str,
+) -> tuple[dict[int, PaillierCiphertext], dict[int, PaillierCiphertext]]:
+    """``(c^b, c^c)`` per wire from the verified ``"beaver_b"`` contributions.
+
+    An entry ``{"b_ct", "c_ct", "proof": MultiplicationProof}`` counts when
+    its proof shows c = a·b against ``beaver_a[wire]`` under
+    ``context|wire|sender``; one TEval batch sums everything.
+    """
+    groups = []
+    for wire in wires:
+        verified_b, verified_c = [], []
+        for sender, payload in sorted(posts.items()):
+            entry = payload.get("beaver_b", {}).get(wire)
+            if not isinstance(entry, Mapping):
+                continue
+            b_ct, c_ct, proof = entry.get("b_ct"), entry.get("c_ct"), entry.get("proof")
+            if (
+                isinstance(b_ct, PaillierCiphertext)
+                and isinstance(c_ct, PaillierCiphertext)
+                and isinstance(proof, MultiplicationProof)
+                and proof.verify(
+                    tpk.paillier, beaver_a[wire], b_ct, c_ct, proof_params,
+                    context=f"{context}|{wire}|{sender}",
+                )
+            ):
+                verified_b.append(b_ct)
+                verified_c.append(c_ct)
+        if not verified_b:
+            raise ProtocolAbortError(f"no verified beaver_b contribution for {wire}")
+        groups.append((verified_b, [1] * len(verified_b)))
+        groups.append((verified_c, [1] * len(verified_c)))
+    sums = teval_many(tpk, groups)
+    return dict(zip(wires, sums[0::2])), dict(zip(wires, sums[1::2]))
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +250,13 @@ def run_offline(
     env: ProtocolEnvironment,
     setup: SetupArtifacts,
     program: CircuitProgram,
-    rng: random.Random,
-    committees: dict[str, Committee] | None = None,
+    committees: dict[str, Committee],
 ) -> OfflineState:
     """Execute Steps 1–4 (Beaver, masks, Γ, packing).
 
     ``program`` is the compiled circuit (:func:`compile_circuit`); its
     flattened ``mul_wires``/``mask_wires`` views fix the committees' RNG
-    draw orders, and its layer/run arrays drive the public homomorphic
-    propagation one engine batch per (layer, kind) run.
+    draw orders.
     """
     env.set_phase("offline")
     params = setup.params
@@ -210,8 +264,6 @@ def run_offline(
     proof_params = setup.proof_params
     gates = program.circuit.gates
 
-    if committees is None:
-        committees = sample_offline_committees(env, params)
     state = OfflineState(committees=committees)
     state.verifications[0] = dict(setup.tsk_verifications)
 
@@ -226,49 +278,27 @@ def run_offline(
 
     # -- Step 1a: committee A — Beaver `a` contributions + tsk resharing -----
 
+    def a_context(wire: int) -> str:
+        return f"beaver-a|{wire}"
+
     def program_a(view) -> None:
-        # Draw all values/randomizers first (fixed order), then encrypt as
-        # one engine batch; proofs follow in wire order.
-        values = [setup.ring.random(view.rng) for _ in mul_wires]
-        randomizers = [tpk.paillier.random_unit(view.rng) for _ in mul_wires]
-        cts = encrypt_many(tpk.paillier, [int(v) for v in values], randomizers)
-        contributions = {}
-        for wire, value, randomness, ct in zip(mul_wires, values, randomizers, cts):
-            proof = PlaintextKnowledgeProof.prove(
-                tpk.paillier, ct, int(value), randomness, proof_params, view.rng,
-                context=f"beaver-a|{wire}|{view.index}",
-            )
-            contributions[wire] = {"ct": ct, "proof": proof}
+        contributions = _proved_encryptions(setup, view, mul_wires, a_context)
         resharing = build_resharing(
             tpk, view.gift("tsk_share"), dec_pks, proof_params, view.rng
         )
         view.speak(OFFLINE_A, {"beaver_a": contributions, "tsk": resharing})
 
     env.run_committee(committees[OFFLINE_A], program_a)
-    posts_a = _posts_by_index(env, committees[OFFLINE_A])
+    posts_a = env.posts_by_index(committees[OFFLINE_A])
 
-    verified_a: list[list[PaillierCiphertext]] = []
-    for wire in mul_wires:
-        sections = {
-            i: {"entry": p.get("beaver_a", {}).get(wire)} for i, p in posts_a.items()
-        }
-        verified = _verified_contributions(setup, sections, "entry", f"beaver-a|{wire}")
-        if not verified:
-            raise ProtocolAbortError(f"no verified Beaver-a contribution for {wire}")
-        verified_a.append(verified)
-    beaver_a: dict[int, PaillierCiphertext] = dict(
-        zip(mul_wires, teval_many(tpk, [(v, [1] * len(v)) for v in verified_a]))
+    beaver_a = sum_contributions(
+        tpk, proof_params, posts_a, "beaver_a", mul_wires, a_context
     )
 
-    resharings_a = {
-        i: p["tsk"]
-        for i, p in posts_a.items()
-        if isinstance(p.get("tsk"), EncryptedResharing)
-    }
-    set_a = verified_contributors(
-        tpk, resharings_a, state.verifications[0], dec_pks, proof_params
+    handoff_a = state.handoffs[0] = Handoff.from_posts(
+        tpk, posts_a, state.verifications[0], dec_pks, proof_params, previous_epoch=0
     )
-    state.verifications[1] = next_verifications(tpk, resharings_a, set_a)
+    state.verifications[1] = handoff_a.verifications
 
     # -- Step 1b: committee B — Beaver `b`/`c` contributions ------------------
 
@@ -292,39 +322,11 @@ def run_offline(
         view.speak(OFFLINE_B, {"beaver_b": contributions})
 
     env.run_committee(committees[OFFLINE_B], program_b)
-    posts_b = _posts_by_index(env, committees[OFFLINE_B])
+    posts_b = env.posts_by_index(committees[OFFLINE_B])
 
-    sum_groups: list[tuple[list[PaillierCiphertext], list[int]]] = []
-    for wire in mul_wires:
-        verified_b: list[PaillierCiphertext] = []
-        verified_c: list[PaillierCiphertext] = []
-        for sender, payload in sorted(posts_b.items()):
-            entry = payload.get("beaver_b", {}).get(wire)
-            if not isinstance(entry, Mapping):
-                continue
-            b_ct, c_ct, proof = entry.get("b_ct"), entry.get("c_ct"), entry.get("proof")
-            if not (
-                isinstance(b_ct, PaillierCiphertext)
-                and isinstance(c_ct, PaillierCiphertext)
-                and isinstance(proof, MultiplicationProof)
-            ):
-                continue
-            if proof.verify(
-                tpk.paillier, beaver_a[wire], b_ct, c_ct, proof_params,
-                context=f"beaver-b|{wire}|{sender}",
-            ):
-                verified_b.append(b_ct)
-                verified_c.append(c_ct)
-        if not verified_b:
-            raise ProtocolAbortError(f"no verified Beaver-b contribution for {wire}")
-        sum_groups.append((verified_b, [1] * len(verified_b)))
-        sum_groups.append((verified_c, [1] * len(verified_c)))
-    sums = teval_many(tpk, sum_groups)
-    beaver_b: dict[int, PaillierCiphertext] = {}
-    beaver_c: dict[int, PaillierCiphertext] = {}
-    for index, wire in enumerate(mul_wires):
-        beaver_b[wire] = sums[2 * index]
-        beaver_c[wire] = sums[2 * index + 1]
+    beaver_b, beaver_c = sum_products(
+        tpk, proof_params, posts_b, beaver_a, mul_wires, "beaver-b"
+    )
 
     # -- Step 2: committee R — wire masks + packing helpers -------------------
 
@@ -337,142 +339,57 @@ def run_offline(
         for h in range(n_helpers)
     ]
 
+    def mask_context(wire: int) -> str:
+        return f"mask|{wire}"
+
+    def helper_context(key: tuple[int, str, int]) -> str:
+        return "helper|%d|%s|%d" % key
+
     def program_r(view) -> None:
-        # Masks and packing helpers share one draw-then-batch-encrypt shape;
-        # both ciphertext batches go through the engine.
-        mask_values = [setup.ring.random(view.rng) for _ in mask_wires]
-        mask_rand = [tpk.paillier.random_unit(view.rng) for _ in mask_wires]
-        mask_cts = encrypt_many(
-            tpk.paillier, [int(v) for v in mask_values], mask_rand
-        )
-        masks = {}
-        for wire, value, randomness, ct in zip(
-            mask_wires, mask_values, mask_rand, mask_cts
-        ):
-            proof = PlaintextKnowledgeProof.prove(
-                tpk.paillier, ct, int(value), randomness, proof_params, view.rng,
-                context=f"mask|{wire}|{view.index}",
-            )
-            masks[wire] = {"ct": ct, "proof": proof}
-        helper_values = [setup.ring.random(view.rng) for _ in helper_keys]
-        helper_rand = [tpk.paillier.random_unit(view.rng) for _ in helper_keys]
-        helper_cts = encrypt_many(
-            tpk.paillier, [int(v) for v in helper_values], helper_rand
-        )
-        helpers = {}
-        for (batch_id, kind, h), value, randomness, ct in zip(
-            helper_keys, helper_values, helper_rand, helper_cts
-        ):
-            proof = PlaintextKnowledgeProof.prove(
-                tpk.paillier, ct, int(value), randomness, proof_params,
-                view.rng,
-                context=f"helper|{batch_id}|{kind}|{h}|{view.index}",
-            )
-            helpers[(batch_id, kind, h)] = {"ct": ct, "proof": proof}
+        masks = _proved_encryptions(setup, view, mask_wires, mask_context)
+        helpers = _proved_encryptions(setup, view, helper_keys, helper_context)
         view.speak(OFFLINE_R, {"masks": masks, "helpers": helpers})
 
     env.run_committee(committees[OFFLINE_R], program_r)
-    posts_r = _posts_by_index(env, committees[OFFLINE_R])
+    posts_r = env.posts_by_index(committees[OFFLINE_R])
 
-    verified_masks: list[list[PaillierCiphertext]] = []
-    for wire in mask_wires:
-        sections = {
-            i: {"entry": p.get("masks", {}).get(wire)} for i, p in posts_r.items()
-        }
-        verified = _verified_contributions(setup, sections, "entry", f"mask|{wire}")
-        if not verified:
-            raise ProtocolAbortError(f"no verified mask contribution for wire {wire}")
-        verified_masks.append(verified)
-    for wire, ct in zip(
-        mask_wires, teval_many(tpk, [(v, [1] * len(v)) for v in verified_masks])
-    ):
-        state.wire_cipher[wire] = ct
-
-    verified_helpers: list[list[PaillierCiphertext]] = []
-    for key in helper_keys:
-        sections = {
-            i: {"entry": p.get("helpers", {}).get(key)} for i, p in posts_r.items()
-        }
-        verified = _verified_contributions(
-            setup, sections, "entry", f"helper|{key[0]}|{key[1]}|{key[2]}"
-        )
-        if not verified:
-            raise ProtocolAbortError(f"no verified helper for {key}")
-        verified_helpers.append(verified)
-    helper_cipher: dict[tuple[int, str, int], PaillierCiphertext] = dict(
-        zip(
-            helper_keys,
-            teval_many(tpk, [(v, [1] * len(v)) for v in verified_helpers]),
-        )
+    state.wire_cipher.update(sum_contributions(
+        tpk, proof_params, posts_r, "masks", mask_wires, mask_context
+    ))
+    helper_cipher = sum_contributions(
+        tpk, proof_params, posts_r, "helpers", helper_keys, helper_context
     )
 
     # -- Step 3a: public mask propagation through linear gates ----------------
 
-    _propagate_linear_masks(setup, program, state)
+    # One TEval batch per (layer, kind) run; masks, so CADD changes nothing.
+    program.propagate_linear_batched(
+        state.wire_cipher, lambda groups: teval_many(tpk, groups), None
+    )
 
     # -- Step 3b: committee dec — open ε, δ for every multiplication ----------
 
-    eps_cipher = dict(zip(mul_wires, teval_many(tpk, [
-        ([state.wire_cipher[gates[w].inputs[0]], beaver_a[w]], [1, 1])
-        for w in mul_wires
-    ])))
-    delta_cipher = dict(zip(mul_wires, teval_many(tpk, [
-        ([state.wire_cipher[gates[w].inputs[1]], beaver_b[w]], [1, 1])
-        for w in mul_wires
-    ])))
+    openings = beaver_openings(
+        tpk, gates, mul_wires, state.wire_cipher, beaver_a, beaver_b
+    )
 
     def program_dec(view) -> None:
-        share = receive_share(
-            tpk, view.index, view.secret_key, resharings_a, set_a, previous_epoch=0
-        )
-        # All 2·|mul_wires| partial decryptions share one TPDec batch; the
-        # [eps_0, delta_0, eps_1, delta_1, ...] order fixes the rng stream.
-        targets = [
-            ct
-            for wire in mul_wires
-            for ct in (eps_cipher[wire], delta_cipher[wire])
-        ]
-        opened = public_decrypt_contributions(
-            tpk, share, targets, proof_params, view.rng
-        )
-        partials = {
-            wire: {"eps": opened[2 * i], "delta": opened[2 * i + 1]}
-            for i, wire in enumerate(mul_wires)
-        }
+        share = handoff_a.receive(tpk, view.index, view.secret_key)
+        partials = decrypt_openings(tpk, share, openings, proof_params, view.rng)
         resharing = build_resharing(tpk, share, reenc_pks, proof_params, view.rng)
         view.speak(OFFLINE_DEC, {"partials": partials, "tsk": resharing})
 
     env.run_committee(committees[OFFLINE_DEC], program_dec)
-    posts_dec = _posts_by_index(env, committees[OFFLINE_DEC])
+    posts_dec = env.posts_by_index(committees[OFFLINE_DEC])
 
-    resharings_dec = {
-        i: p["tsk"]
-        for i, p in posts_dec.items()
-        if isinstance(p.get("tsk"), EncryptedResharing)
-    }
-    set_dec = verified_contributors(
-        tpk, resharings_dec, state.verifications[1], reenc_pks, proof_params
+    state.handoffs[1] = Handoff.from_posts(
+        tpk, posts_dec, state.verifications[1], reenc_pks, proof_params,
+        previous_epoch=1,
     )
-    state.verifications[2] = next_verifications(tpk, resharings_dec, set_dec)
-
-    for wire in mul_wires:
-        eps_contribs = [
-            p["partials"][wire]["eps"]
-            for p in posts_dec.values()
-            if isinstance(p.get("partials", {}).get(wire, {}).get("eps"), PublicPartial)
-        ]
-        delta_contribs = [
-            p["partials"][wire]["delta"]
-            for p in posts_dec.values()
-            if isinstance(p.get("partials", {}).get(wire, {}).get("delta"), PublicPartial)
-        ]
-        eps = combine_public(
-            tpk, eps_cipher[wire], eps_contribs, state.verifications[1], proof_params
-        )
-        delta = combine_public(
-            tpk, delta_cipher[wire], delta_contribs, state.verifications[1], proof_params
-        )
-        state.epsilon_delta[wire] = (eps, delta)
+    state.verifications[2] = state.handoffs[1].verifications
+    state.epsilon_delta = combine_openings(
+        tpk, openings, posts_dec, state.verifications[1], proof_params
+    )
 
     # c^Γ = TEval((c^β, c^a, c^c, c^γ), (ε, −δ, 1, −1)), all gates batched.
     gamma_groups = []
@@ -500,7 +417,6 @@ def run_reencryption_bridge(
     state: OfflineState,
     program: CircuitProgram,
     online_keys_pks: Sequence[PaillierPublicKey],
-    rng: random.Random,
 ) -> None:
     """Steps 5–6 + tsk hand-off to the online phase (committee Coff-reenc).
 
@@ -513,15 +429,6 @@ def run_reencryption_bridge(
     proof_params = setup.proof_params
     circuit = program.circuit
     committee = state.committees[OFFLINE_REENC]
-    resharings_dec = {
-        i: p["tsk"]
-        for i, p in _posts_by_index(env, state.committees[OFFLINE_DEC]).items()
-        if isinstance(p.get("tsk"), EncryptedResharing)
-    }
-    set_dec = verified_contributors(
-        tpk, resharings_dec, state.verifications[1],
-        committee.public_keys(), proof_params,
-    )
 
     input_targets = {
         wire: setup.kff_for(client_tag(circuit.gates[wire].client)).public_key
@@ -540,10 +447,7 @@ def run_reencryption_bridge(
     packed_keys = list(packed_targets)
 
     def program_reenc(view) -> None:
-        share = receive_share(
-            tpk, view.index, view.secret_key, resharings_dec, set_dec,
-            previous_epoch=1,
-        )
+        share = state.handoffs[1].receive(tpk, view.index, view.secret_key)
         # One batched Re-encrypt over every target (inputs first, then the
         # packed shares); per-item rng order matches the single-op loop.
         items = [
@@ -570,76 +474,26 @@ def run_reencryption_bridge(
         )
 
     env.run_committee(committee, program_reenc)
-    posts = _posts_by_index(env, committee)
+    posts = env.posts_by_index(committee)
 
     for wire in circuit.input_wires:
-        state.input_bundles[wire] = [
-            p["input_shares"][wire]
-            for p in posts.values()
-            if isinstance(p.get("input_shares", {}).get(wire), EncryptedPartial)
-        ]
+        state.input_bundles[wire] = posted(
+            posts, "input_shares", wire, EncryptedPartial
+        )
     for key in packed_targets:
-        state.packed_bundles[key] = [
-            p["packed_shares"][key]
-            for p in posts.values()
-            if isinstance(p.get("packed_shares", {}).get(key), EncryptedPartial)
-        ]
-    state.bridge_resharings = {
-        i: p["tsk"]
-        for i, p in posts.items()
-        if isinstance(p.get("tsk"), EncryptedResharing)
-    }
-    bridge_set = verified_contributors(
-        tpk, state.bridge_resharings, state.verifications[2],
-        list(online_keys_pks), proof_params,
+        state.packed_bundles[key] = posted(
+            posts, "packed_shares", key, EncryptedPartial
+        )
+    state.handoffs[2] = Handoff.from_posts(
+        tpk, posts, state.verifications[2], list(online_keys_pks), proof_params,
+        previous_epoch=2,
     )
-    state.verifications[3] = next_verifications(
-        tpk, state.bridge_resharings, bridge_set
-    )
+    state.verifications[3] = state.handoffs[2].verifications
 
 
 # ---------------------------------------------------------------------------
 # Public local computation helpers
 # ---------------------------------------------------------------------------
-
-
-def _propagate_linear_masks(
-    setup: SetupArtifacts, program: CircuitProgram, state: OfflineState
-) -> None:
-    """Extend c^λ from input/mul wires to every wire through linear gates.
-
-    Layer-by-layer over the compiled program: each (layer, kind) run's
-    TEvals flatten into one engine batch (``teval_many`` is bit-identical
-    to a loop of single ``teval`` calls, so c^λ per wire — and therefore
-    every later transcript byte — is unchanged).
-    """
-    tpk = setup.tpk
-    cipher = state.wire_cipher
-    constants = program.constants
-    for layer in program.layers:
-        for run in layer.runs:
-            kind = run.kind
-            if kind is GateType.ADD or kind is GateType.SUB:
-                coeffs = [1, 1] if kind is GateType.ADD else [1, -1]
-                results = teval_many(tpk, [
-                    ([cipher[a], cipher[b]], coeffs)
-                    for a, b in zip(run.src0, run.src1)
-                ])
-                for w, ct in zip(run.wires, results):
-                    cipher[w] = ct
-            elif kind is GateType.CMUL:
-                results = teval_many(tpk, [
-                    ([cipher[a]], [constants[ci]])
-                    for a, ci in zip(run.src0, run.const_index)
-                ])
-                for w, ct in zip(run.wires, results):
-                    cipher[w] = ct
-            elif kind is GateType.CADD or kind is GateType.OUTPUT:
-                # λ is unchanged by constant addition (the constant lands
-                # in μ) and OUTPUT merely exposes its source wire.
-                for w, a in zip(run.wires, run.src0):
-                    cipher[w] = cipher[a]
-            # INPUT/MUL wires were filled from committee R's contributions.
 
 
 def _pack_batches(

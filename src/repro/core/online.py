@@ -1,6 +1,8 @@
 """Π_YOSO-Online: input, evaluation, and output (paper §5.3, Protocol 5).
 
-Per-depth flow once inputs are known:
+The μ algebra itself is :mod:`repro.packed_online`; this module is the
+committee schedule around it (Con-keys, one Con-mul-d per multiplicative
+depth, Con-out) and the cryptography of each step:
 
 * **Future key distribution** — the first online committee (Con-keys) uses
   its tsk shares to re-encrypt every Key-For-Future secret key to the
@@ -8,14 +10,11 @@ Per-depth flow once inputs are known:
   committee.  After this, tsk is never needed for multiplications.
 * **Input** — each client recovers its KFF, decrypts its wire masks
   ``λ^α``, and broadcasts ``μ^α = v^α − λ^α``.
-* **Addition/linear gates** — public local computation on μ values.
-* **Multiplication** — for each batch of k gates, each member of the
-  depth's committee decrypts its preprocessed packed shares
-  (λ^α, λ^β, Γ^γ), forms its degree-(k−1) canonical shares of the public
-  μ vectors, and broadcasts the single scalar
-  ``μ^γ_i = μ^α_i·μ^β_i + μ^α_i·λ^β_i + μ^β_i·λ^α_i + Γ^γ_i``
-  with a constant-size correctness proof.  Anyone reconstructs μ^γ from
-  any ``t + 2(k−1) + 1`` verified shares — GOD with O(1) amortized
+* **Multiplication** — each member of the depth's committee *obtains* its
+  preprocessed packed shares (λ^α, λ^β, Γ^γ) by KFF decryption and posts
+  one μ^γ share per batch with a constant-size correctness token; shares
+  are *authenticated* by that token, or — in proof-free mode — not at
+  all, and error-corrected at opening.  GOD with O(1) amortized
   communication per gate.
 * **Output** — the last committee re-encrypts each output-wire mask to the
   receiving client (Re-encrypt*, no further tsk resharing); the client
@@ -24,26 +23,20 @@ Per-depth flow once inputs are known:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from repro.circuits.circuit import Circuit, GateType
-from repro.circuits.program import CircuitProgram, compile_circuit
-from repro.core.offline import PACK_KINDS, OfflineState, _posts_by_index
+from repro.circuits.program import CircuitProgram
+from repro.core.offline import PACK_KINDS, OfflineState
 from repro.core.oracle import MuShareOracle
 from repro.core.reencrypt import (
     EncryptedPartial,
+    recover_outputs,
     recover_reencrypted,
     reencrypt_contributions,
+    reencrypt_outputs,
 )
-from repro.core.resharing import (
-    EncryptedResharing,
-    build_resharing,
-    next_verifications,
-    receive_share,
-    verified_contributors,
-)
+from repro.core.resharing import Handoff, build_resharing
 from repro.core.setup import (
     ONLINE_KEYS,
     ONLINE_OUT,
@@ -53,8 +46,8 @@ from repro.core.setup import (
     role_tag,
 )
 from repro.errors import ProtocolAbortError
-from repro.fields.ring import ZmodElement
 from repro.observability.tracer import KIND_BATCH, maybe_span
+from repro.packed_online import MuTracker, mu_gamma_share
 from repro.paillier.encoding import safe_chunk_bits, unchunk_integer
 from repro.paillier.paillier import PaillierSecretKey
 from repro.rng import fork_rng
@@ -83,72 +76,6 @@ register_kind(
 )
 
 
-class MuTracker:
-    """Public μ bookkeeping: every observer can maintain this identically.
-
-    Backed by a wire-indexed array driven by the compiled program's
-    layer/run structure, so :meth:`propagate` is one tight loop per
-    (layer, kind) run rather than a per-gate dict walk.  Accepts a bare
-    :class:`Circuit` (compiled at k=1) for unit tests and tooling.
-    """
-
-    def __init__(self, setup: SetupArtifacts, circuit: Circuit | CircuitProgram):
-        self.ring = setup.ring
-        program = (
-            circuit if isinstance(circuit, CircuitProgram)
-            else compile_circuit(circuit, 1)
-        )
-        self.program = program
-        self.circuit = program.circuit
-        self._mu: list[ZmodElement | None] = [None] * program.n_gates
-        self._constants = [self.ring.element(c) for c in program.constants]
-
-    def set(self, wire: int, value: int | ZmodElement) -> None:
-        self._mu[wire] = self.ring.element(value)
-
-    def known(self, wire: int) -> bool:
-        return self._mu[wire] is not None
-
-    def get(self, wire: int) -> ZmodElement:
-        value = self._mu[wire]
-        if value is None:
-            raise ProtocolAbortError(f"μ for wire {wire} not yet public")
-        return value
-
-    def propagate(self) -> None:
-        """Push μ through linear gates as far as currently possible."""
-        mu = self._mu
-        constants = self._constants
-        for layer in self.program.layers:
-            for run in layer.runs:
-                kind = run.kind
-                if kind is GateType.ADD:
-                    for w, a, b in zip(run.wires, run.src0, run.src1):
-                        if mu[w] is None:
-                            va, vb = mu[a], mu[b]
-                            if va is not None and vb is not None:
-                                mu[w] = va + vb
-                elif kind is GateType.SUB:
-                    for w, a, b in zip(run.wires, run.src0, run.src1):
-                        if mu[w] is None:
-                            va, vb = mu[a], mu[b]
-                            if va is not None and vb is not None:
-                                mu[w] = va - vb
-                elif kind is GateType.CADD:
-                    # v+c − λ = μ + c: constants land in μ, λ is unchanged.
-                    for w, a, ci in zip(run.wires, run.src0, run.const_index):
-                        if mu[w] is None and mu[a] is not None:
-                            mu[w] = mu[a] + constants[ci]
-                elif kind is GateType.CMUL:
-                    for w, a, ci in zip(run.wires, run.src0, run.const_index):
-                        if mu[w] is None and mu[a] is not None:
-                            mu[w] = mu[a] * constants[ci]
-                elif kind is GateType.OUTPUT:
-                    for w, a in zip(run.wires, run.src0):
-                        if mu[w] is None and mu[a] is not None:
-                            mu[w] = mu[a]
-
-
 @dataclass
 class OnlineState:
     """Committees and intermediate results of one online execution.
@@ -164,19 +91,17 @@ class OnlineState:
     tracker: MuTracker
     oracle: MuShareOracle
     kff_bundles: dict[str, list[list[EncryptedPartial]]] = field(default_factory=dict)
-    out_resharings: dict[int, EncryptedResharing] = field(default_factory=dict)
-    verifications_out: dict[int, int] = field(default_factory=dict)
+    #: tsk hand-off Con-keys → Con-out
+    out_handoff: Handoff | None = None
     outputs: dict[str, list[int]] = field(default_factory=dict)
 
 
 def sample_online_committees(
     env: ProtocolEnvironment,
     setup: SetupArtifacts,
-    program: Circuit | CircuitProgram,
+    program: CircuitProgram,
 ) -> OnlineState:
     """Sample every online committee and client role (keys now known)."""
-    if isinstance(program, Circuit):
-        program = compile_circuit(program, setup.params.k)
     committees = {ONLINE_KEYS: env.sample_committee(ONLINE_KEYS, setup.params.n)}
     for depth in setup.mul_depths:
         name = mul_committee_name(depth)
@@ -194,7 +119,7 @@ def sample_online_committees(
         committees=committees,
         client_roles=clients,
         output_client_roles=out_clients,
-        tracker=MuTracker(setup, program),
+        tracker=MuTracker(program, setup.ring),
         # Keyed from a fork of the run's generator: same seed, same tokens,
         # and no other draw of the run moves.
         oracle=MuShareOracle(key=fork_rng(env.rng).randbytes(32)),
@@ -208,7 +133,6 @@ def run_online(
     online: OnlineState,
     program: CircuitProgram,
     inputs: Mapping[str, Sequence[int]],
-    rng: random.Random,
 ) -> dict[str, list[int]]:
     """Execute the full online phase; returns outputs per client."""
     env.set_phase("online")
@@ -232,16 +156,8 @@ def run_online(
             segment.client
         ].public_key
 
-    bridge_set = verified_contributors(
-        tpk, offline.bridge_resharings, offline.verifications[2],
-        keys_committee.public_keys(), proof_params,
-    )
-
     def program_keys(view) -> None:
-        share = receive_share(
-            tpk, view.index, view.secret_key, offline.bridge_resharings,
-            bridge_set, previous_epoch=2,
-        )
+        share = offline.handoffs[2].receive(tpk, view.index, view.secret_key)
         # Flatten every KFF chunk of every tag into one batched Re-encrypt,
         # then reassemble the per-tag chunk lists in order.
         items = [
@@ -262,7 +178,7 @@ def run_online(
         view.speak(ONLINE_KEYS, {"kff": kff, "tsk": resharing})
 
     env.run_committee(keys_committee, program_keys)
-    posts_keys = _posts_by_index(env, keys_committee)
+    posts_keys = env.posts_by_index(keys_committee)
 
     for tag in kff_targets:
         n_chunks = len(setup.kff_for(tag).encrypted_prime)
@@ -276,16 +192,9 @@ def run_online(
             ]
             for chunk in range(n_chunks)
         ]
-    online.out_resharings = {
-        i: p["tsk"]
-        for i, p in posts_keys.items()
-        if isinstance(p.get("tsk"), EncryptedResharing)
-    }
-    out_set = verified_contributors(
-        tpk, online.out_resharings, offline.verifications[3], out_pks, proof_params
-    )
-    online.verifications_out = next_verifications(
-        tpk, online.out_resharings, out_set
+    online.out_handoff = Handoff.from_posts(
+        tpk, posts_keys, offline.verifications[3], out_pks, proof_params,
+        previous_epoch=3,
     )
 
     # ---- Input step (clients broadcast μ for their wires) --------------------
@@ -302,16 +211,7 @@ def run_online(
         ]
         return entry.recover_secret(unchunk_integer(limbs, chunk_bits))
 
-    for segment in program.input_segments:
-        client = segment.client
-        wires = list(segment.wires)
-        supplied = list(inputs.get(client, []))
-        if len(supplied) != len(wires):
-            raise ProtocolAbortError(
-                f"client {client!r} supplied {len(supplied)} inputs, "
-                f"circuit needs {len(wires)}"
-            )
-
+    for client, wires, supplied in program.client_inputs(inputs):
         def program_client(view, client=client, wires=wires, supplied=supplied):
             kff_sk = recover_kff_secret(client_tag(client), view.secret_key)
             mu = {}
@@ -325,18 +225,7 @@ def run_online(
 
         env.run_role(online.client_roles[client], program_client)
         posts = env.bulletin.payloads(f"input:{client}")
-        if posts and isinstance(posts[-1], dict):
-            for wire, value in posts[-1].get("mu", {}).items():
-                if wire in wires and isinstance(value, int):
-                    online.tracker.set(wire, value)
-        # A crashed/silent client's inputs default to the ⊥-style default 0:
-        # μ = −λ is unknowable publicly, so the functionality's default-input
-        # rule is approximated by aborting only that client's wires.
-        for wire in wires:
-            if not online.tracker.known(wire):
-                raise ProtocolAbortError(
-                    f"input client {client!r} failed to publish μ for wire {wire}"
-                )
+        online.tracker.publish_inputs(client, wires, posts[-1] if posts else None)
 
     online.tracker.propagate()
 
@@ -377,21 +266,12 @@ def run_online(
                                 offline.verifications[2], proof_params,
                             )
                         )
-                    mu_left = _padded_mu(online.tracker, batch.left_wires, params.k)
-                    mu_right = _padded_mu(online.tracker, batch.right_wires, params.k)
-                    # Cached canonical matrix row: no re-interpolation over
-                    # the 2048-bit ring per batch.
-                    mu_l_i, mu_r_i = (
-                        s.value
-                        for s in scheme.canonical_many(
-                            [mu_left, mu_right], index=view.index
-                        )
+                    ((mu_left, mu_right),) = online.tracker.canonical_shares(
+                        scheme, [batch], view.index
                     )
-                    value = (
-                        mu_l_i * mu_r_i
-                        + mu_l_i * lam["right"]
-                        + mu_r_i * lam["left"]
-                        + lam["gamma"]
+                    value = mu_gamma_share(
+                        mu_left.value, mu_right.value,
+                        lam["left"], lam["right"], lam["gamma"],
                     )
                     if params.robust_reconstruction:
                         # Proof-free mode: bad shares are *corrected*, not
@@ -405,7 +285,7 @@ def run_online(
             view.speak(name, {"mu_shares": shares})
 
         env.run_committee(committee, program_mul)
-        posts = _posts_by_index(env, committee)
+        posts = env.posts_by_index(committee)
 
         for batch in batches:
             with maybe_span(
@@ -413,30 +293,21 @@ def run_online(
                 phase="online.mul", batch=batch.batch_id, depth=depth,
                 stage="reconstruct", gates=len(batch.gate_wires),
             ):
-                collected: list[PackedShare] = []
+                # Authentication is this evaluator's: an oracle token per
+                # share, or none in proof-free mode (errors get corrected).
+                collected: list[tuple[int, int]] = []
                 for sender, payload in sorted(posts.items()):
                     entry = payload.get("mu_shares", {}).get(batch.batch_id)
                     if not isinstance(entry, Mapping):
                         continue
                     value = entry.get("value")
-                    if not isinstance(value, int):
-                        continue
-                    if params.robust_reconstruction:
-                        collected.append(
-                            PackedShare(
-                                sender, setup.ring.element(value),
-                                params.product_degree, params.k,
-                            )
+                    if isinstance(value, int) and (
+                        params.robust_reconstruction
+                        or online.oracle.verify(
+                            batch.batch_id, sender, value, entry.get("proof")
                         )
-                    elif online.oracle.verify(
-                        batch.batch_id, sender, value, entry.get("proof")
                     ):
-                        collected.append(
-                            PackedShare(
-                                sender, setup.ring.element(value),
-                                params.product_degree, params.k,
-                            )
-                        )
+                        collected.append((sender, value))
                 if params.robust_reconstruction:
                     if len(collected) < params.reconstruction_threshold + 2 * params.t:
                         raise ProtocolAbortError(
@@ -444,73 +315,46 @@ def run_online(
                             f"cannot correct {params.t} errors at degree "
                             f"{params.product_degree}"
                         )
-                    mu_gamma = scheme.robust_reconstruct(
-                        collected, degree=params.product_degree,
-                        max_errors=params.t,
-                    )
+                    online.tracker.set_batch(batch, scheme.robust_reconstruct(
+                        [
+                            PackedShare(
+                                sender, setup.ring.element(value),
+                                params.product_degree, params.k,
+                            )
+                            for sender, value in collected
+                        ],
+                        degree=params.product_degree, max_errors=params.t,
+                    ))
                 else:
-                    if len(collected) < params.reconstruction_threshold:
-                        raise ProtocolAbortError(
-                            f"batch {batch.batch_id}: only {len(collected)} "
-                            f"verified μ shares, need "
-                            f"{params.reconstruction_threshold}"
-                        )
-                    mu_gamma = scheme.reconstruct_many(
-                        [collected[: params.reconstruction_threshold]],
-                        degree=params.product_degree,
-                    )[0]
-                for slot, wire in enumerate(batch.gate_wires):
-                    online.tracker.set(wire, mu_gamma[slot])
+                    online.tracker.open_batches(
+                        scheme, [batch], [collected], params.product_degree
+                    )
         online.tracker.propagate()
 
     # ---- Output step -----------------------------------------------------------
 
     out_committee = online.committees[ONLINE_OUT]
-    output_wires = list(circuit.output_wires)
+    out_handoff = online.out_handoff
+    recipients = {
+        wire: online.output_client_roles[circuit.gates[wire].client]
+        for wire in circuit.output_wires
+    }
 
     def program_out(view) -> None:
-        share = receive_share(
-            tpk, view.index, view.secret_key, online.out_resharings,
-            out_set, previous_epoch=3,
+        share = out_handoff.receive(tpk, view.index, view.secret_key)
+        bundle = reencrypt_outputs(
+            tpk, share, offline.wire_cipher, recipients, proof_params, view.rng
         )
-        items = [
-            (
-                offline.wire_cipher[wire],
-                online.output_client_roles[circuit.gates[wire].client].public_key,
-            )
-            for wire in output_wires
-        ]
-        bundles = reencrypt_contributions(
-            tpk, share, items, proof_params, view.rng
-        )
-        view.speak(ONLINE_OUT, {"output": dict(zip(output_wires, bundles))})
+        view.speak(ONLINE_OUT, {"output": bundle})
 
     env.run_committee(out_committee, program_out)
-    posts_out = _posts_by_index(env, out_committee)
+    masks = recover_outputs(
+        tpk, env.posts_by_index(out_committee), offline.wire_cipher, recipients,
+        out_handoff.verifications, proof_params,
+    )
 
-    outputs: dict[str, list[int]] = {}
-    for wire in output_wires:
-        client = circuit.gates[wire].client
-        contributions = [
-            p["output"][wire]
-            for p in posts_out.values()
-            if isinstance(p.get("output", {}).get(wire), EncryptedPartial)
-        ]
-        lam = recover_reencrypted(
-            tpk, offline.wire_cipher[wire], contributions,
-            online.output_client_roles[client].secret_key,
-            online.verifications_out, proof_params,
-        )
-        value = (int(online.tracker.get(wire)) + lam) % tpk.n
-        outputs.setdefault(client, []).append(value)
-    online.outputs = outputs
-    return outputs
-
-
-def _padded_mu(
-    tracker: MuTracker, wires: Sequence[int], k: int
-) -> list[ZmodElement]:
-    """Public μ vector of a batch, zero-padded to the packing width."""
-    values = [tracker.get(w) for w in wires]
-    values += [tracker.ring.zero] * (k - len(values))
-    return values
+    online.outputs = program.outputs_by_client({
+        wire: (int(online.tracker.get(wire)) + lam) % tpk.n
+        for wire, lam in masks.items()
+    })
+    return online.outputs

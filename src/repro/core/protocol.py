@@ -164,20 +164,17 @@ class YosoMpc:
                     )
 
                 with maybe_span(tracer, "offline", kind=KIND_PHASE, phase="offline"):
-                    offline = run_offline(
-                        env, setup, program, self.rng,
-                        committees=offline_committees,
-                    )
+                    offline = run_offline(env, setup, program, offline_committees)
                 with maybe_span(
                     tracer, "reencryption-bridge", kind=KIND_PHASE, phase="offline"
                 ):
                     run_reencryption_bridge(
                         env, setup, offline, program,
-                        online.committees[ONLINE_KEYS].public_keys(), self.rng,
+                        online.committees[ONLINE_KEYS].public_keys(),
                     )
                 with maybe_span(tracer, "online", kind=KIND_PHASE, phase="online"):
                     outputs = run_online(
-                        env, setup, offline, online, program, inputs, self.rng
+                        env, setup, offline, online, program, inputs
                     )
         finally:
             if owns_engine:

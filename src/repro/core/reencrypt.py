@@ -10,6 +10,12 @@ public verification value, and combines any t+1 verified partials.
 ``Decrypt_{C_l}(c)`` is the same with partials posted in clear, verified
 publicly by everyone.
 
+On top of the two protocols sit the two uses every tsk-holding evaluator
+makes of them: opening a Beaver triple's masked operands ε/δ
+(:func:`beaver_openings` → :func:`decrypt_openings` →
+:func:`combine_openings`) and delivering output wires to clients
+(:func:`reencrypt_outputs` → :func:`recover_outputs`).
+
 The tsk resharing that accompanies both in the paper's Protocols 1–2 is
 factored out into :mod:`repro.core.resharing` (it happens once per
 committee, not once per re-encrypted value).
@@ -18,9 +24,9 @@ committee, not once per re-encrypted value).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Mapping, Sequence
 
-from repro.engine.batch import partial_decrypt_many
+from repro.engine.batch import partial_decrypt_many, teval_many
 from repro.engine.engine import CryptoEngine, active as active_engine
 from repro.errors import ProtocolAbortError
 from repro.nizk.params import ProofParams
@@ -76,26 +82,6 @@ class PublicPartial:
 register_wire_dataclass(17, PublicPartial)
 
 
-def reencrypt_contribution(
-    tpk: ThresholdPublicKey,
-    share: ThresholdKeyShare,
-    ciphertext: PaillierCiphertext,
-    recipient_pk: PaillierPublicKey,
-    params: ProofParams,
-    rng=None,
-) -> EncryptedPartial:
-    """What one role computes in Re-encrypt for one target ciphertext."""
-    partial = ThresholdPaillier.partial_decrypt(tpk, share, ciphertext)
-    proof = PartialDecryptionProof.prove(tpk, ciphertext, partial, share, params, rng)
-    chunk_bits = safe_chunk_bits(recipient_pk.n)
-    chunks = tuple(
-        recipient_pk.encrypt(limb, rng=rng)
-        for limb in chunk_integer(partial.value, chunk_bits)
-    )
-    _hooks.note(_hooks.REENCRYPT_CONTRIBUTION)
-    return EncryptedPartial(share.index, share.epoch, chunks, proof)
-
-
 def reencrypt_contributions(
     tpk: ThresholdPublicKey,
     share: ThresholdKeyShare,
@@ -104,13 +90,14 @@ def reencrypt_contributions(
     rng=None,
     engine: CryptoEngine | None = None,
 ) -> list[EncryptedPartial]:
-    """Re-encrypt contributions for many ``(ciphertext, recipient_pk)`` at once.
+    """What one role computes in Re-encrypt, for many targets at once.
 
-    Semantically ``[reencrypt_contribution(tpk, share, c, pk, ...) ...]``,
-    but the TPDec exponentiations and all limb encryptions run as two
-    engine batches.  Randomness is drawn per item in input order (proof
-    first, then limb randomizers), so seeded transcripts stay identical
-    whatever engine executes the batch.
+    Per ``(ciphertext, recipient_pk)`` item: the partial decryption, its
+    proof, and the partial chunked and encrypted under the recipient key.
+    The TPDec exponentiations and all limb encryptions run as two engine
+    batches.  Randomness is drawn per item in input order (proof first,
+    then limb randomizers), so seeded transcripts stay identical whatever
+    engine executes the batch.
     """
     if engine is None:
         engine = active_engine()
@@ -186,19 +173,6 @@ def recover_reencrypted(
     return ThresholdPaillier.combine(tpk, verified)
 
 
-def public_decrypt_contribution(
-    tpk: ThresholdPublicKey,
-    share: ThresholdKeyShare,
-    ciphertext: PaillierCiphertext,
-    params: ProofParams,
-    rng=None,
-) -> PublicPartial:
-    """What one role computes in Decrypt for one target ciphertext."""
-    partial = ThresholdPaillier.partial_decrypt(tpk, share, ciphertext)
-    proof = PartialDecryptionProof.prove(tpk, ciphertext, partial, share, params, rng)
-    return PublicPartial(partial, proof)
-
-
 def public_decrypt_contributions(
     tpk: ThresholdPublicKey,
     share: ThresholdKeyShare,
@@ -207,7 +181,7 @@ def public_decrypt_contributions(
     rng=None,
     engine: CryptoEngine | None = None,
 ) -> list[PublicPartial]:
-    """Decrypt contributions for many ciphertexts in one TPDec batch."""
+    """What one role computes in Decrypt: partials in one TPDec batch, each proved."""
     partials = partial_decrypt_many(tpk, share, ciphertexts, engine=engine)
     return [
         PublicPartial(
@@ -241,3 +215,124 @@ def combine_public(
             "public partials verified — corruption bound exceeded?"
         )
     return ThresholdPaillier.combine(tpk, verified)
+
+
+# ---------------------------------------------------------------------------
+# Beaver openings and output delivery (shared by the core protocol and CDN)
+# ---------------------------------------------------------------------------
+
+
+def posted(posts: Mapping[int, Mapping], section: str, key: Any, kind: type) -> list:
+    """Every member's well-typed ``payload[section][key]`` entry."""
+    return [
+        p[section][key]
+        for p in posts.values()
+        if isinstance(p.get(section, {}).get(key), kind)
+    ]
+
+
+def beaver_openings(
+    tpk: ThresholdPublicKey,
+    gates: Sequence[Any],
+    wires: Sequence[int],
+    wire_cipher: Mapping[int, PaillierCiphertext],
+    beaver_a: Mapping[int, PaillierCiphertext],
+    beaver_b: Mapping[int, PaillierCiphertext],
+) -> dict[int, tuple[PaillierCiphertext, PaillierCiphertext]]:
+    """``(c^ε, c^δ)`` per multiplication wire: left ⊞ a and right ⊞ b.
+
+    One engine batch per opening kind across all of ``wires``.
+    """
+    eps = teval_many(tpk, [
+        ([wire_cipher[gates[w].inputs[0]], beaver_a[w]], [1, 1]) for w in wires
+    ])
+    delta = teval_many(tpk, [
+        ([wire_cipher[gates[w].inputs[1]], beaver_b[w]], [1, 1]) for w in wires
+    ])
+    return dict(zip(wires, zip(eps, delta)))
+
+
+def decrypt_openings(
+    tpk: ThresholdPublicKey,
+    share: ThresholdKeyShare,
+    openings: Mapping[int, tuple[PaillierCiphertext, PaillierCiphertext]],
+    params: ProofParams,
+    rng=None,
+) -> dict[int, dict[str, PublicPartial]]:
+    """A member's ``"partials"`` section: Decrypt contributions to every ε, δ.
+
+    All partial decryptions share one TPDec batch; the
+    ``[ε_0, δ_0, ε_1, δ_1, ...]`` order fixes the rng stream.
+    """
+    opened = public_decrypt_contributions(
+        tpk, share, [ct for pair in openings.values() for ct in pair], params, rng
+    )
+    return {
+        wire: {"eps": opened[2 * i], "delta": opened[2 * i + 1]}
+        for i, wire in enumerate(openings)
+    }
+
+
+def combine_openings(
+    tpk: ThresholdPublicKey,
+    openings: Mapping[int, tuple[PaillierCiphertext, PaillierCiphertext]],
+    posts: Mapping[int, Mapping],
+    sender_verifications: dict[int, int],
+    params: ProofParams,
+) -> dict[int, tuple[int, int]]:
+    """Anyone's side: ``(ε, δ)`` per wire from the committee's posts."""
+    out = {}
+    for wire, ciphertexts in openings.items():
+        eps, delta = (
+            combine_public(
+                tpk, ciphertext,
+                [
+                    partials[name]
+                    for partials in posted(posts, "partials", wire, dict)
+                    if isinstance(partials.get(name), PublicPartial)
+                ],
+                sender_verifications, params,
+            )
+            for name, ciphertext in zip(("eps", "delta"), ciphertexts)
+        )
+        out[wire] = (eps, delta)
+    return out
+
+
+def reencrypt_outputs(
+    tpk: ThresholdPublicKey,
+    share: ThresholdKeyShare,
+    wire_cipher: Mapping[int, PaillierCiphertext],
+    recipients: Mapping[int, Any],
+    params: ProofParams,
+    rng=None,
+) -> dict[int, EncryptedPartial]:
+    """A member's ``"output"`` section (Re-encrypt*, one batch).
+
+    ``recipients`` maps each output wire to the role receiving it; the
+    wire's ciphertext is re-encrypted to that role's public key.
+    """
+    bundles = reencrypt_contributions(
+        tpk, share,
+        [(wire_cipher[w], role.public_key) for w, role in recipients.items()],
+        params, rng,
+    )
+    return dict(zip(recipients, bundles))
+
+
+def recover_outputs(
+    tpk: ThresholdPublicKey,
+    posts: Mapping[int, Mapping],
+    wire_cipher: Mapping[int, PaillierCiphertext],
+    recipients: Mapping[int, Any],
+    sender_verifications: dict[int, int],
+    params: ProofParams,
+) -> dict[int, int]:
+    """Each receiving role's side: the plaintext behind every output wire."""
+    return {
+        w: recover_reencrypted(
+            tpk, wire_cipher[w], posted(posts, "output", w, EncryptedPartial),
+            role.secret_key, sender_verifications, params,
+        )
+        for w, role in recipients.items()
+    }

@@ -26,6 +26,7 @@ undone in the exponent during verification and after decryption).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from repro.engine.engine import exp_many
 from repro.errors import ProtocolAbortError
@@ -267,3 +268,59 @@ def next_verifications(
             acc = acc * powers[(j - 1) * len(senders) + offset] % n2
         out[j] = acc
     return out
+
+
+@dataclass(frozen=True)
+class Handoff:
+    """One committee's tsk hand-off, as everyone reads it off the board.
+
+    Built once from the sending committee's posts: the resharings found
+    under ``"tsk"``, the publicly verified contributor set S, and the
+    verification keys of the shares the recipients will hold.  Every
+    resharing is verified exactly once, here; each recipient then calls
+    :meth:`receive`.
+    """
+
+    resharings: dict[int, EncryptedResharing]
+    contributors: list[int]
+    #: Next-epoch verification keys ``v'_j`` by recipient index.
+    verifications: dict[int, int]
+    previous_epoch: int
+
+    @classmethod
+    def from_posts(
+        cls,
+        tpk: ThresholdPublicKey,
+        posts: Mapping[int, Mapping],
+        sender_verifications: dict[int, int],
+        recipient_pks: list[PaillierPublicKey],
+        params: ProofParams,
+        previous_epoch: int,
+    ) -> "Handoff":
+        """Read ``posts`` (payload by sender index) and verify publicly."""
+        resharings = {
+            sender: payload["tsk"]
+            for sender, payload in posts.items()
+            if isinstance(payload.get("tsk"), EncryptedResharing)
+        }
+        contributors = verified_contributors(
+            tpk, resharings, sender_verifications, recipient_pks, params
+        )
+        return cls(
+            resharings,
+            contributors,
+            next_verifications(tpk, resharings, contributors),
+            previous_epoch,
+        )
+
+    def receive(
+        self,
+        tpk: ThresholdPublicKey,
+        receiver_index: int,
+        receiver_sk: PaillierSecretKey,
+    ) -> ThresholdKeyShare:
+        """Recipient side: the next committee member's key share."""
+        return receive_share(
+            tpk, receiver_index, receiver_sk, self.resharings,
+            self.contributors, self.previous_epoch,
+        )

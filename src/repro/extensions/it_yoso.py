@@ -13,8 +13,9 @@ Structure (each committee speaks once):
 
 * **P1 (contribution committee).**  Every member picks an additive
   contribution ``m_i^w`` to the mask of each input/multiplication wire and
-  *locally* propagates its contributions through linear gates (mask rules
-  are linear, so λ^w = Σ_i m_i^w holds on every wire).  It then deals, to
+  *locally* extends its contributions through linear gates (the compiled
+  program's mask walk; the rules are linear, so λ^w = Σ_i m_i^w holds on
+  every wire).  It then deals, to
   P2, degree-d packed sharings of its contribution vectors for each batch
   (left, right, output masks at degrees d and 2d) — and sends its raw
   contributions for input/output wires privately to the owning clients.
@@ -28,10 +29,12 @@ Structure (each committee speaks once):
   receiving committee sums any D+1 such deals and holds a fresh degree-d
   sharing of the same secrets.  One message, degree reduction included —
   the IT analogue of "re-encrypt to the future".
-* **Online committees** (one per multiplicative depth) and clients run the
-  identical μ machinery as the main protocol: one broadcast scalar per
-  member per batch of k gates — O(1) communication per gate, so the gap's
-  online benefit carries over to the IT setting unchanged.
+* **Online committees** (one per multiplicative depth) and clients run
+  :mod:`repro.packed_online`, the very code the main protocol runs: one
+  broadcast scalar per member per batch of k gates — O(1) communication
+  per gate, so the gap's online benefit carries over unchanged.  A member
+  *obtains* its λ/Γ shares as sums of the P2 transfers; nothing is
+  *authenticated* (semi-honest).
 
 Fail-stop tolerance carries over too (reconstruction needs t+2(k−1)+1 of
 the n posted shares).  Active security would additionally need
@@ -46,16 +49,17 @@ elements like everything else.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from repro.accounting.comm import CommMeter
-from repro.circuits.circuit import Circuit, GateType
+from repro.circuits.circuit import Circuit
 from repro.circuits.program import compile_circuit
 from repro.errors import ParameterError, ProtocolAbortError
 from repro.fields.ring import Zmod, ZmodElement
+from repro.packed_online import MuTracker, mu_gamma_share
 from repro.rng import fresh_rng
-from repro.sharing.packed import PackedShare, packed_scheme, secret_slots
+from repro.sharing.packed import packed_scheme, secret_slots
 from repro.wire.registry import register_kind
 from repro.yoso.adversary import Adversary, honest_adversary
 from repro.yoso.assignment import IdealRoleAssignment
@@ -157,7 +161,6 @@ class ItYosoMpc:
         ring, scheme, n, k, d = self.ring, self.scheme, self.n, self.k, self.d
         batches = list(program.plan.mul_batches)
         depths = list(program.mul_depths)
-        const_cache = [ring.element(c) for c in program.constants]
 
         p1 = env.sample_committee("It-P1", n)
         p2 = env.sample_committee("It-P2", n)
@@ -171,37 +174,17 @@ class ItYosoMpc:
         env.set_phase("offline")
         mask_wires = list(program.mask_wires)
 
-        def propagate_contribution(contrib: dict[int, ZmodElement]) -> None:
-            """Extend one member's mask contributions through linear gates.
-
-            Every input/mul wire already has a contribution, so one pass over
-            the compiled layers resolves all remaining wires — tight loops
-            over the run arrays, no per-gate dispatch.
-            """
-            for layer in program.layers:
-                for run in layer.runs:
-                    kind = run.kind
-                    if kind is GateType.ADD:
-                        for w, a, b in zip(run.wires, run.src0, run.src1):
-                            contrib[w] = contrib[a] + contrib[b]
-                    elif kind is GateType.SUB:
-                        for w, a, b in zip(run.wires, run.src0, run.src1):
-                            contrib[w] = contrib[a] - contrib[b]
-                    elif kind is GateType.CMUL:
-                        for w, a, ci in zip(run.wires, run.src0, run.const_index):
-                            contrib[w] = contrib[a] * const_cache[ci]
-                    elif kind is GateType.CADD or kind is GateType.OUTPUT:
-                        for w, a in zip(run.wires, run.src0):
-                            contrib[w] = contrib[a]
-
         def pad(values: list[ZmodElement]) -> list[ZmodElement]:
             return values + [ring.zero] * (k - len(values))
 
         def program_p1(view) -> None:
-            contrib: dict[int, ZmodElement] = {
-                w: ring.random(view.rng) for w in mask_wires
-            }
-            propagate_contribution(contrib)
+            # Additive contributions to the input/mul wire masks, extended
+            # through the linear gates by the mask rule (λ^w = Σ_i m_i^w
+            # holds on every wire because the rules are linear).
+            contrib: list[ZmodElement | None] = [None] * program.n_gates
+            for w in mask_wires:
+                contrib[w] = ring.random(view.rng)
+            program.propagate_linear(ring, contrib, masks=True)
             # One batched dealing for all (batch, kind) vectors: the rng
             # stream and the share values match the historical per-sharing
             # loop exactly (degrees d, d, 2d interleave per batch).
@@ -230,10 +213,7 @@ class ItYosoMpc:
             view.speak("It-P1", {"deals": deals, "client_masks": client_masks})
 
         env.run_committee(p1, program_p1)
-        posts_p1 = env.bulletin.by_sender("It-P1")
-        p1_payloads = [
-            posts_p1[str(role.id)] for role in p1 if str(role.id) in posts_p1
-        ]
+        p1_payloads = [p for _, p in sorted(env.posts_by_index(p1).items())]
         if len(p1_payloads) < n:
             raise ProtocolAbortError("semi-honest IT protocol lost a P1 message")
 
@@ -292,12 +272,7 @@ class ItYosoMpc:
             view.speak("It-P2", {"transfers": transfers})
 
         env.run_committee(p2, program_p2)
-        posts_p2 = env.bulletin.by_sender("It-P2")
-        p2_payloads = {
-            role.id.index: posts_p2[str(role.id)]
-            for role in p2
-            if str(role.id) in posts_p2
-        }
+        p2_payloads = env.posts_by_index(p2)
 
         def online_share(batch_id: int, kind: str, index: int) -> ZmodElement:
             source_degree = 2 * d if kind == "gamma" else d
@@ -317,44 +292,9 @@ class ItYosoMpc:
         # ---- Online: inputs, μ evaluation, outputs ---------------------------
 
         env.set_phase("online")
-        mu: dict[int, ZmodElement] = {}
+        tracker = MuTracker(program, ring)
 
-        def propagate_mu() -> None:
-            # Availability-checked: wires behind an unopened multiplication
-            # stay unknown until that depth's committee reconstructs them.
-            for layer in program.layers:
-                for run in layer.runs:
-                    kind = run.kind
-                    if kind is GateType.ADD:
-                        for w, a, b in zip(run.wires, run.src0, run.src1):
-                            if w not in mu and a in mu and b in mu:
-                                mu[w] = mu[a] + mu[b]
-                    elif kind is GateType.SUB:
-                        for w, a, b in zip(run.wires, run.src0, run.src1):
-                            if w not in mu and a in mu and b in mu:
-                                mu[w] = mu[a] - mu[b]
-                    elif kind is GateType.CADD:
-                        for w, a, ci in zip(run.wires, run.src0, run.const_index):
-                            if w not in mu and a in mu:
-                                mu[w] = mu[a] + const_cache[ci]
-                    elif kind is GateType.CMUL:
-                        for w, a, ci in zip(run.wires, run.src0, run.const_index):
-                            if w not in mu and a in mu:
-                                mu[w] = mu[a] * const_cache[ci]
-                    elif kind is GateType.OUTPUT:
-                        for w, a in zip(run.wires, run.src0):
-                            if w not in mu and a in mu:
-                                mu[w] = mu[a]
-
-        for segment in program.input_segments:
-            client = segment.client
-            wires = list(segment.wires)
-            supplied = list(inputs.get(client, []))
-            if len(supplied) != len(wires):
-                raise ProtocolAbortError(
-                    f"client {client!r} supplied {len(supplied)} inputs, "
-                    f"needs {len(wires)}"
-                )
+        for client, wires, supplied in program.client_inputs(inputs):
             role = env.client(f"it-client:{client}")
 
             def program_client(view, wires=wires, supplied=supplied):
@@ -369,10 +309,11 @@ class ItYosoMpc:
                 )
 
             env.run_role(role, program_client)
-            payload = env.bulletin.payloads("It-input")[-1]
-            for w, value in payload["mu"].items():
-                mu[w] = ring.element(value)
-        propagate_mu()
+            # Every client posts under the one tag: read this client's own.
+            tracker.publish_inputs(
+                client, wires, env.bulletin.by_sender("It-input").get(str(role.id))
+            )
+        tracker.propagate()
 
         product_degree = self.t + 2 * (self.k - 1)
         by_depth = program.depth_batches
@@ -384,61 +325,41 @@ class ItYosoMpc:
                 i = view.index
                 # Both canonical μ shares of every batch at this depth come
                 # out of one cached-matrix product.
-                mu_vectors: list[list[ZmodElement]] = []
-                for batch in by_depth[depth]:
-                    mu_vectors.append(pad([mu[w] for w in batch.left_wires]))
-                    mu_vectors.append(pad([mu[w] for w in batch.right_wires]))
-                canonical = scheme.canonical_many(mu_vectors, index=i)
-                shares_out = {}
-                for pos, batch in enumerate(by_depth[depth]):
-                    ml = canonical[2 * pos].value
-                    mr = canonical[2 * pos + 1].value
-                    ll = online_share(batch.batch_id, "left", i)
-                    rr = online_share(batch.batch_id, "right", i)
-                    gg = online_share(batch.batch_id, "gamma", i)
-                    shares_out[batch.batch_id] = int(
-                        ml * mr + ml * rr + mr * ll + gg
+                shares_out = {
+                    batch.batch_id: int(mu_gamma_share(
+                        mu_left.value, mu_right.value,
+                        online_share(batch.batch_id, "left", i),
+                        online_share(batch.batch_id, "right", i),
+                        online_share(batch.batch_id, "gamma", i),
+                    ))
+                    for batch, (mu_left, mu_right) in zip(
+                        by_depth[depth],
+                        tracker.canonical_shares(scheme, by_depth[depth], i),
                     )
+                }
                 view.speak(committee.name, {"mu_shares": shares_out})
 
             env.run_committee(committee, program_mul)
-            posts = env.bulletin.by_sender(committee.name)
-            bases: list[list[PackedShare]] = []
-            for batch in by_depth[depth]:
-                collected = []
-                for role in committee:
-                    payload = posts.get(str(role.id))
-                    if payload is None:
-                        continue
-                    value = payload["mu_shares"].get(batch.batch_id)
-                    if isinstance(value, int):
-                        collected.append(
-                            PackedShare(
-                                role.id.index, ring.element(value),
-                                product_degree, k,
-                            )
-                        )
-                if len(collected) < product_degree + 1:
-                    raise ProtocolAbortError(
-                        f"batch {batch.batch_id}: {len(collected)} shares < "
-                        f"{product_degree + 1}"
-                    )
-                bases.append(collected[: product_degree + 1])
-            # One matrix product reconstructs every batch of the depth.
-            for batch, reconstructed in zip(
+            # Semi-honest: posted shares are taken as they are.
+            posts = sorted(env.posts_by_index(committee).items())
+            tracker.open_batches(
+                scheme,
                 by_depth[depth],
-                scheme.reconstruct_many(bases, degree=product_degree),
-            ):
-                for slot, w in enumerate(batch.gate_wires):
-                    mu[w] = reconstructed[slot]
-            propagate_mu()
+                [
+                    [
+                        (index, payload["mu_shares"][batch.batch_id])
+                        for index, payload in posts
+                        if isinstance(payload["mu_shares"].get(batch.batch_id), int)
+                    ]
+                    for batch in by_depth[depth]
+                ],
+                product_degree,
+            )
+            tracker.propagate()
 
-        outputs: dict[str, list[int]] = {}
-        for w in circuit.output_wires:
-            client = circuit.gates[w].client
-            if w not in mu:
-                raise ProtocolAbortError(f"μ unresolved for output wire {w}")
-            outputs.setdefault(client, []).append(int(mu[w] + client_lambda[w]))
+        outputs = program.outputs_by_client({
+            w: int(tracker.get(w) + client_lambda[w]) for w in circuit.output_wires
+        })
 
         result = ItYosoResult(
             outputs=outputs, n=n, t=self.t, k=k, meter=env.meter,

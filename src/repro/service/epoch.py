@@ -12,12 +12,12 @@ YOSO discipline: nobody serves twice), each holding a Shamir share of
 the *same* long-lived threshold Paillier key.  ``reshare()`` moves the
 key to the next committee through the core protocol's proven resharing
 path — :func:`repro.core.resharing.build_resharing` messages posted on
-the board under ``svc-reshare-*`` tags, publicly verified with
-:func:`verified_contributors`, recombined by each recipient with
-:func:`receive_share`.  A fail-stop crash (:meth:`crash`) simply means
-that member posts nothing: as long as at least ``t+1`` resharings
-verify, the key survives; its partial decryptions are likewise just
-absent from the combine set.
+the board under ``svc-reshare-*`` tags, publicly verified once and
+recombined by each recipient through a
+:class:`repro.core.resharing.Handoff`.  A fail-stop crash (:meth:`crash`)
+simply means that member posts nothing: as long as at least ``t+1``
+resharings verify, the key survives; its partial decryptions are likewise
+just absent from the combine set.
 
 Committee sizing comes from the sortition planner via
 :meth:`repro.core.params.ProtocolParams.from_gap` — the service reuses
@@ -30,12 +30,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from repro.core.resharing import (
-    build_resharing,
-    next_verifications,
-    receive_share,
-    verified_contributors,
-)
+from repro.core.resharing import Handoff, build_resharing
 from repro.engine.batch import partial_decrypt_many
 from repro.errors import ParameterError, ServiceError
 from repro.nizk.params import ProofParams
@@ -322,35 +317,28 @@ class EpochCoordinator:
             )
 
         # Read back from the board (the byte-real record is authoritative).
-        resharings = {
-            member.index: self.board.latest(
-                reshare_tag(self.epoch, member.index)
-            )["tsk"]
-            for member in self.committee.surviving()
-        }
-        contributor_set = verified_contributors(
+        handoff = Handoff.from_posts(
             self.tpk,
-            resharings,
+            {
+                member.index: self.board.latest(
+                    reshare_tag(self.epoch, member.index)
+                )
+                for member in self.committee.surviving()
+            },
             self.verifications,
             recipient_pks,
             self.proof_params,
+            previous_epoch,
         )
         self.shares = {
-            member.index: receive_share(
-                self.tpk,
-                member.index,
-                member.keypair.secret,
-                resharings,
-                contributor_set,
-                previous_epoch,
+            member.index: handoff.receive(
+                self.tpk, member.index, member.keypair.secret
             )
             for member in next_committee.members
         }
-        self.verifications = next_verifications(
-            self.tpk, resharings, contributor_set
-        )
+        self.verifications = handoff.verifications
         self.committee = next_committee
         self.epoch += 1
         self.state = EpochState.RESHARED
         self.announcement = None
-        return contributor_set
+        return handoff.contributors

@@ -105,6 +105,15 @@ class ProtocolEnvironment:
         self.transport.announce_keys([role.public_key.n])
         return role
 
+    def posts_by_index(self, committee: Committee) -> dict[int, dict]:
+        """Latest payload of each committee member, keyed by member index."""
+        index_of = {str(role.id): role.id.index for role in committee}
+        return {
+            index_of[sender]: payload
+            for sender, payload in self.bulletin.by_sender(committee.name).items()
+            if sender in index_of and isinstance(payload, dict)
+        }
+
     # -- activation ---------------------------------------------------------
 
     def activate(self, role: Role, program: RoleProgram) -> None:

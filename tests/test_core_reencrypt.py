@@ -7,15 +7,23 @@ import pytest
 
 from repro.core.reencrypt import (
     combine_public,
-    public_decrypt_contribution,
+    public_decrypt_contributions,
     recover_reencrypted,
-    reencrypt_contribution,
+    reencrypt_contributions,
 )
 from repro.errors import ProtocolAbortError
 from repro.nizk import ProofParams
 from repro.paillier import generate_keypair
 
 PARAMS = ProofParams(challenge_bits=24)
+
+
+def reencrypt_contribution(tpk, share, ct, recipient_pk, params, rng):
+    return reencrypt_contributions(tpk, share, [(ct, recipient_pk)], params, rng)[0]
+
+
+def public_decrypt_contribution(tpk, share, ct, params, rng):
+    return public_decrypt_contributions(tpk, share, [ct], params, rng)[0]
 
 
 @pytest.fixture(scope="module")

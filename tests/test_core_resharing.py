@@ -5,6 +5,9 @@ import random
 
 import pytest
 
+from repro.circuits import dot_product_circuit
+from repro.core import ProtocolParams, YosoMpc
+from repro.core import resharing as resharing_mod
 from repro.core.resharing import (
     build_resharing,
     next_verifications,
@@ -153,3 +156,23 @@ class TestAdversarialPath:
         tpk, shares, _, pks, verifs, resharings = world
         bad = dataclasses.replace(resharings[1], subshares=resharings[1].subshares[:-1])
         assert not verify_resharing(tpk, bad, verifs[1], pks, PARAMS)
+
+
+def test_one_run_verifies_each_resharing_once(monkeypatch):
+    # Four hand-offs (A → dec → reenc → keys → out), n resharings each: the
+    # public verdict is computed where the posts are read and reused by the
+    # phase that consumes it.
+    calls = []
+    real = resharing_mod.verify_resharing
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].sender_index)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(resharing_mod, "verify_resharing", counting)
+    params = ProtocolParams.from_gap(4, 0.2)
+    result = YosoMpc(params, rng=random.Random(41)).run(
+        dot_product_circuit(2), {"alice": [3, 1], "bob": [4, 1]}
+    )
+    assert result.outputs == {"alice": [13]}
+    assert len(calls) == 4 * params.n

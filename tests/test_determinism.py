@@ -6,11 +6,12 @@ import random
 import pytest
 
 from repro.baselines import CdnYosoMpc, TurbopackSimulator
-from repro.circuits import dot_product_circuit
+from repro.circuits import CircuitBuilder, compile_circuit, dot_product_circuit
 from repro.core import ProtocolParams, YosoMpc, run_mpc
 from repro.engine import engine as engine_mod
 from repro.engine import jobs as jobs_mod
 from repro.extensions import ItYosoMpc
+from repro.fields import Zmod
 from repro.service import MpcService, ServiceClient
 
 
@@ -105,11 +106,29 @@ def test_board_bytes_identical_with_and_without_tables(board, monkeypatch):
 
 # -- pinned transcripts --------------------------------------------------------
 #
-# sha256 over the delivered bytes of one seeded run per evaluator, computed
-# at commit 584370e and stable across PYTHONHASHSEED.  A refactor that is
-# meant to change nothing observable must leave all four alone.
+# sha256 over the delivered bytes of one seeded run per evaluator, stable
+# across PYTHONHASHSEED.  A refactor that is meant to change nothing
+# observable must leave all eight alone.  Two circuits: the dot product
+# (one depth, full batches, ADD only — pinned at 584370e) and a wide one
+# with all seven gate kinds, two multiplicative depths and a short batch
+# ([2,1,1] at k=2, [3,1] at k=3 — pinned at 95ec28f, as were both Turbopack
+# digests once they started covering the generator's end state).
 
 _PIN_INPUTS = {"alice": [3, 1], "bob": [4, 1]}
+_WIDE_INPUTS = {"alice": [3, 1, 4], "bob": [1, 5, 9]}
+
+
+def _wide_circuit():
+    b = CircuitBuilder()
+    a, c = b.inputs("alice", 3), b.inputs("bob", 3)
+    s, d = b.add(a[0], c[0]), b.sub(a[1], c[1])
+    m1 = b.mul(b.cadd(10, s), b.cmul(3, d))
+    m2 = b.mul(a[2], c[2])
+    m3 = b.mul(s, d)
+    chain = b.cadd(7, b.cmul(5, b.sub(m1, m2)))
+    b.output(b.mul(chain, m3), "alice")
+    b.output(chain, "bob")
+    return b.build()
 
 
 def _board_digest(bulletin) -> str:
@@ -120,43 +139,59 @@ def _board_digest(bulletin) -> str:
     return h.hexdigest()
 
 
-def _pinned_core():
-    params = ProtocolParams.from_gap(4, 0.2)
-    result = YosoMpc(params, rng=random.Random(21)).run(
-        dot_product_circuit(2), _PIN_INPUTS
+def _pinned_core(circuit, inputs, params, seed):
+    result = YosoMpc(params, rng=random.Random(seed)).run(circuit, inputs)
+    return result.outputs, result.setup.ring, _board_digest(result.bulletin)
+
+
+def _pinned_cdn(circuit, inputs, seed):
+    result = CdnYosoMpc(n=5, t=1, te_bits=64, rng=random.Random(seed)).run(
+        circuit, inputs
     )
-    return result.outputs, _board_digest(result.bulletin)
+    ring = Zmod(result.modulus, assume_prime=False)
+    return result.outputs, ring, _board_digest(result.bulletin)
 
 
-def _pinned_cdn():
-    result = CdnYosoMpc(n=5, t=1, te_bits=64, rng=random.Random(22)).run(
-        dot_product_circuit(2), _PIN_INPUTS
-    )
-    return result.outputs, _board_digest(result.bulletin)
+def _pinned_it(circuit, inputs, k, seed):
+    protocol = ItYosoMpc(n=11, t=1, k=k, rng=random.Random(seed))
+    result = protocol.run(circuit, inputs)
+    return result.outputs, protocol.ring, _board_digest(result.bulletin)
 
 
-def _pinned_it():
-    result = ItYosoMpc(n=11, t=1, k=5, rng=random.Random(23)).run(
-        dot_product_circuit(2), _PIN_INPUTS
-    )
-    return result.outputs, _board_digest(result.bulletin)
-
-
-def _pinned_turbopack():
-    result = TurbopackSimulator(n=7, t=1, k=3, rng=random.Random(24)).run(
-        dot_product_circuit(2), _PIN_INPUTS
-    )
+def _pinned_turbopack(circuit, inputs, seed):
+    sim = TurbopackSimulator(n=7, t=1, k=3, rng=random.Random(seed))
+    result = sim.run(circuit, inputs)
+    # Message sizes alone cannot see a draw-order change; the generator's
+    # end state can.
     records = [(r.phase, r.sender, r.tag, r.n_bytes) for r in result.meter.records]
-    return result.outputs, hashlib.sha256(repr(records).encode()).hexdigest()
+    h = hashlib.sha256(repr(records).encode())
+    h.update(hashlib.sha256(repr(sim.rng.getstate()).encode()).digest())
+    return result.outputs, sim.ring, h.hexdigest()
 
 
-@pytest.mark.parametrize("run, digest", [
-    (_pinned_core, "a1490ec5976a5c882e6f6ac0d9ee33a459f29c71773dc19edfeb739a6a2fcb02"),
-    (_pinned_cdn, "5ec703882ddb94334caec7fa0bf1504998ac2a428908d68efd52423ef7dfc46b"),
-    (_pinned_it, "5209666844966b274aac6533ea944b660a67ef62a4f5330208126d549dd94fdb"),
-    (_pinned_turbopack, "5afb4e464926030ffa1f0189135e1b1553f45023afd5f0852f4062400cedd3fb"),
-], ids=["core", "cdn", "it", "turbopack"])
-def test_pinned_transcript(run, digest):
-    outputs, measured = run()
-    assert outputs == {"alice": [13]}
+@pytest.mark.parametrize("run, kwargs, wide, digest", [
+    (_pinned_core, {"params": ProtocolParams.from_gap(4, 0.2), "seed": 21}, False,
+     "a1490ec5976a5c882e6f6ac0d9ee33a459f29c71773dc19edfeb739a6a2fcb02"),
+    (_pinned_cdn, {"seed": 22}, False,
+     "5ec703882ddb94334caec7fa0bf1504998ac2a428908d68efd52423ef7dfc46b"),
+    (_pinned_it, {"k": 5, "seed": 23}, False,
+     "5209666844966b274aac6533ea944b660a67ef62a4f5330208126d549dd94fdb"),
+    (_pinned_turbopack, {"seed": 24}, False,
+     "a795b135a7df8764d63c971f795737183e4143df4896fa75ed5b13adb8f2f01c"),
+    (_pinned_core, {"params": ProtocolParams.from_gap(5, 0.25), "seed": 31}, True,
+     "94f7ac3868770e44f24d8ff694c5d4b7ae5b87de8ab2ca6b23eaa974d8f4c415"),
+    (_pinned_cdn, {"seed": 32}, True,
+     "8586e54dd93e5f251c15804c00efbfbf88e0a2f33270ee2650008d7ade92e8ab"),
+    (_pinned_it, {"k": 3, "seed": 33}, True,
+     "74d9458bf882aad3eda237d4d46176eca2570761a12109e84c4fb1be7815d45a"),
+    (_pinned_turbopack, {"seed": 34}, True,
+     "921728fdf7a62748da905adcc4ee1e511a7200d64fba7210eaf0aa49975adf41"),
+], ids=["core", "cdn", "it", "turbopack",
+        "core-wide", "cdn-wide", "it-wide", "turbopack-wide"])
+def test_pinned_transcript(run, kwargs, wide, digest):
+    circuit = _wide_circuit() if wide else dot_product_circuit(2)
+    inputs = _WIDE_INPUTS if wide else _PIN_INPUTS
+    outputs, ring, measured = run(circuit, inputs, **kwargs)
+    expected = compile_circuit(circuit, 1).evaluate(ring, inputs).outputs
+    assert outputs == {c: [int(v) for v in vs] for c, vs in expected.items()}
     assert measured == digest

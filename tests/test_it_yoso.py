@@ -109,6 +109,16 @@ class TestFailStop:
         with pytest.raises(ProtocolAbortError):
             it.run(dot_product_circuit(3), {"alice": [1, 2, 3], "bob": [4, 5, 6]})
 
+    @pytest.mark.parametrize("client", ["alice", "bob"])
+    def test_silent_input_client_is_a_named_abort(self, client):
+        # First and a later client: neither an IndexError on an empty tag nor
+        # a re-read of the previous client's post.
+        crashed = CrashSpec({RoleId(f"it-client:{client}", 1)}, phase="online")
+        it = ItYosoMpc(n=11, t=1, k=5, rng=random.Random(9),
+                       adversary=Adversary(crash_spec=crashed))
+        with pytest.raises(ProtocolAbortError, match=f"input client '{client}'"):
+            it.run(dot_product_circuit(2), {"alice": [1, 2], "bob": [3, 4]})
+
 
 class TestCommunication:
     def test_online_per_gate_flat_in_n(self):

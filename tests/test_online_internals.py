@@ -3,19 +3,12 @@
 
 import pytest
 
-from repro.circuits import CircuitBuilder, dot_product_circuit
+from repro.circuits import CircuitBuilder, compile_circuit, dot_product_circuit
 from repro.core import run_mpc
-from repro.core.online import MuTracker
 from repro.core.setup import SetupArtifacts
 from repro.errors import ProtocolAbortError
 from repro.fields import Zmod
-
-
-class _FakeSetup:
-    """Just enough of SetupArtifacts for MuTracker."""
-
-    def __init__(self, modulus=10007):
-        self.ring = Zmod(modulus)
+from repro.packed_online import MuTracker
 
 
 class TestMuTracker:
@@ -28,7 +21,8 @@ class TestMuTracker:
         cm = b.cmul(3, d)          # 5
         m = b.mul(ca, cm)          # 6
         out = b.output(m, "a")     # 7
-        return MuTracker(_FakeSetup(), b.build()), (x, y, s, d, ca, cm, m, out)
+        tracker = MuTracker(compile_circuit(b.build(), 1), Zmod(10007))
+        return tracker, (x, y, s, d, ca, cm, m, out)
 
     def test_linear_propagation(self):
         tracker, (x, y, s, d, ca, cm, m, out) = self._tracker()

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.circuits import (
     Circuit,
     CircuitBuilder,
+    Gate,
     GateType,
     compile_circuit,
     dot_product_circuit,
@@ -196,6 +197,51 @@ def test_compiled_evaluation_matches_plaintext_property(seed, k):
     got = program.evaluate(F, inputs)
     assert got.wire_values == expected.wire_values
     assert got.outputs == expected.outputs
+
+    # The shared linear walks.  Seeded with the input and multiplication
+    # wires, the value rule fills in exactly what evaluate computes...
+    gates = circuit.gates
+    seeded = set(circuit.input_wires) | set(program.mul_wires)
+    values = [v if w in seeded else None for w, v in enumerate(expected.wire_values)]
+    program.propagate_linear(F, values, masks=False)
+    assert tuple(values) == expected.wire_values
+
+    def combine(groups):
+        return [sum((x * c for x, c in zip(xs, cs)), F.zero) for xs, cs in groups]
+
+    batched = {w: expected.wire_values[w] for w in seeded}
+    program.propagate_linear_batched(batched, combine, lambda x, c: x + c)
+    assert tuple(batched[w] for w in range(len(gates))) == expected.wire_values
+
+    # ...the mask rule is the value rule with every constant-add dropped...
+    dropped = compile_circuit(Circuit([
+        Gate(g.kind, g.inputs, constant=0) if g.kind is GateType.CADD else g
+        for g in gates
+    ]), k)
+    masks = [v if w in seeded else None for w, v in enumerate(expected.wire_values)]
+    reference = list(masks)
+    program.propagate_linear(F, masks, masks=True)
+    dropped.propagate_linear(F, reference, masks=False)
+    assert masks == reference
+    batched = {w: expected.wire_values[w] for w in seeded}
+    program.propagate_linear_batched(batched, combine, None)
+    assert [batched[w] for w in range(len(gates))] == reference
+
+    # ...and a wire behind an unknown multiplication stays unknown.
+    behind_mul = []
+    for g in gates:
+        behind_mul.append(
+            g.kind is GateType.MUL or any(behind_mul[s] for s in g.inputs)
+        )
+    partial = [
+        v if w in circuit.input_wires else None
+        for w, v in enumerate(expected.wire_values)
+    ]
+    program.propagate_linear(F, partial, masks=False)
+    assert partial == [
+        None if behind else v
+        for behind, v in zip(behind_mul, expected.wire_values)
+    ]
 
 
 def test_gate_kind_coverage_random_circuits():

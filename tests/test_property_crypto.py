@@ -4,7 +4,7 @@ import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.reencrypt import recover_reencrypted, reencrypt_contribution
+from repro.core.reencrypt import recover_reencrypted, reencrypt_contributions
 from repro.nizk import PlaintextKnowledgeProof, ProofParams
 from repro.paillier import ThresholdPaillier, generate_keypair
 from repro.paillier.threshold import recombine_with_epoch, teval
@@ -83,7 +83,7 @@ def test_reencrypt_roundtrip_property(message, quorum, seed):
     ct = _TPK.encrypt(message, rng=rng)
     verifs = {s.index: s.verification for s in _SHARES}
     contributions = [
-        reencrypt_contribution(_TPK, s, ct, _RECIPIENT.public, PARAMS, rng)
+        reencrypt_contributions(_TPK, s, [(ct, _RECIPIENT.public)], PARAMS, rng)[0]
         for s in _SHARES[:quorum]
     ]
     value = recover_reencrypted(
