@@ -9,8 +9,8 @@ triple by *threshold-decrypting* the two masked openings ε = x + a and
 Θ(n)-per-gate bottleneck the paper's packing construction removes (§1, §3).
 
 What is here is the schedule — triple-A, triple-B, one eval committee per
-depth, out — and the per-wire triple programs.  Every step the baseline
-shares with the main protocol *is* the main protocol's code (verified
+depth, out.  Every step the baseline shares with the main protocol *is*
+the main protocol's code (Beaver draw-encrypt-prove, verified
 contribution sums, ε/δ opening, output delivery, the
 :class:`~repro.core.resharing.Handoff` chain), so the comparison in
 ``benchmarks/bench_vs_cdn.py`` is apples-to-apples.
@@ -25,7 +25,12 @@ from typing import Any, Mapping, Sequence
 from repro.accounting.comm import CommMeter
 from repro.circuits.circuit import Circuit
 from repro.circuits.program import compile_circuit
-from repro.core.offline import sum_contributions, sum_products
+from repro.core.offline import (
+    proved_encryptions,
+    proved_products,
+    sum_contributions,
+    sum_products,
+)
 from repro.core.reencrypt import (
     beaver_openings,
     combine_openings,
@@ -38,7 +43,7 @@ from repro.engine.batch import teval_many
 from repro.errors import ProtocolAbortError
 from repro.fields.ring import Zmod
 from repro.nizk.params import ProofParams
-from repro.nizk.sigma import MultiplicationProof, PlaintextKnowledgeProof
+from repro.nizk.sigma import PlaintextKnowledgeProof
 from repro.paillier.paillier import PaillierCiphertext
 from repro.paillier.threshold import ThresholdPaillier
 from repro.rng import fresh_rng
@@ -148,17 +153,13 @@ class CdnYosoMpc:
         env.set_phase("offline")
         next_pks = committees[chain[1]].public_keys()
 
+        def a_context(wire: int) -> str:
+            return f"cdn-a|{wire}"
+
         def program_a(view):
-            contributions = {}
-            for wire in mul_wires:
-                value = ring.random(view.rng)
-                randomness = tpk.paillier.random_unit(view.rng)
-                ct = tpk.encrypt(int(value), randomness=randomness)
-                proof = PlaintextKnowledgeProof.prove(
-                    tpk.paillier, ct, int(value), randomness, proof_params,
-                    view.rng, context=f"cdn-a|{wire}|{view.index}",
-                )
-                contributions[wire] = {"ct": ct, "proof": proof}
+            contributions = proved_encryptions(
+                tpk, ring, proof_params, view, mul_wires, a_context
+            )
             resharing = build_resharing(
                 tpk, view.gift("tsk_share"), next_pks, proof_params, view.rng
             )
@@ -170,22 +171,13 @@ class CdnYosoMpc:
         tsk_posts = env.posts_by_index(committees[chain[0]])
 
         beaver_a = sum_contributions(
-            tpk, proof_params, tsk_posts, "beaver_a", mul_wires,
-            lambda wire: f"cdn-a|{wire}",
+            tpk, proof_params, tsk_posts, "beaver_a", mul_wires, a_context
         )
 
         def program_b(view):
-            contributions = {}
-            for wire in mul_wires:
-                b = ring.random(view.rng)
-                randomness = tpk.paillier.random_unit(view.rng)
-                b_ct = tpk.encrypt(int(b), randomness=randomness)
-                c_ct = beaver_a[wire] * int(b)
-                proof = MultiplicationProof.prove(
-                    tpk.paillier, beaver_a[wire], b_ct, c_ct, int(b), randomness,
-                    proof_params, view.rng, context=f"cdn-b|{wire}|{view.index}",
-                )
-                contributions[wire] = {"b_ct": b_ct, "c_ct": c_ct, "proof": proof}
+            contributions = proved_products(
+                tpk, ring, proof_params, view, beaver_a, mul_wires, "cdn-b"
+            )
             view.speak("Cdn-triple-B", {"beaver_b": contributions})
 
         env.run_committee(committees["Cdn-triple-B"], program_b)

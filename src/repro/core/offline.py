@@ -64,6 +64,7 @@ from repro.core.setup import (
 )
 from repro.engine.batch import encrypt_many, scalar_mul_many, teval_many
 from repro.errors import ProtocolAbortError
+from repro.fields.ring import Zmod
 from repro.nizk.params import ProofParams
 from repro.nizk.sigma import MultiplicationProof, PlaintextKnowledgeProof
 from repro.observability.tracer import KIND_BATCH, maybe_span
@@ -129,8 +130,13 @@ class OfflineState:
 # ---------------------------------------------------------------------------
 
 
-def _proved_encryptions(
-    setup: SetupArtifacts, view, keys: Sequence, context_of: Callable[[Any], str]
+def proved_encryptions(
+    tpk: ThresholdPublicKey,
+    ring: Zmod,
+    proof_params: ProofParams,
+    view,
+    keys: Sequence,
+    context_of: Callable[[Any], str],
 ) -> dict[Any, dict]:
     """One member's contributions: a fresh random value per key with its PoPK.
 
@@ -138,17 +144,50 @@ def _proved_encryptions(
     engine batch; proofs follow in key order under
     ``context_of(key)|member`` — the shape :func:`sum_contributions` reads.
     """
-    tpk = setup.tpk
-    values = [setup.ring.random(view.rng) for _ in keys]
+    values = [ring.random(view.rng) for _ in keys]
     randomizers = [tpk.paillier.random_unit(view.rng) for _ in keys]
     cts = encrypt_many(tpk.paillier, [int(v) for v in values], randomizers)
     contributions = {}
     for key, value, randomness, ct in zip(keys, values, randomizers, cts):
         proof = PlaintextKnowledgeProof.prove(
-            tpk.paillier, ct, int(value), randomness, setup.proof_params, view.rng,
+            tpk.paillier, ct, int(value), randomness, proof_params, view.rng,
             context=f"{context_of(key)}|{view.index}",
         )
         contributions[key] = {"ct": ct, "proof": proof}
+    return contributions
+
+
+def proved_products(
+    tpk: ThresholdPublicKey,
+    ring: Zmod,
+    proof_params: ProofParams,
+    view,
+    beaver_a: Mapping[int, PaillierCiphertext],
+    wires: Sequence[int],
+    context: str,
+) -> dict[int, dict]:
+    """One member's Beaver ``b``/``c`` contributions against ``beaver_a``.
+
+    Same draw order as :func:`proved_encryptions`; per wire ``c = b·a``
+    homomorphically with a multiplication proof under
+    ``context|wire|member`` — the shape :func:`sum_products` reads.
+    """
+    b_values = [ring.random(view.rng) for _ in wires]
+    randomizers = [tpk.paillier.random_unit(view.rng) for _ in wires]
+    b_cts = encrypt_many(tpk.paillier, [int(b) for b in b_values], randomizers)
+    c_cts = scalar_mul_many(
+        [beaver_a[wire] for wire in wires], [int(b) for b in b_values]
+    )
+    contributions = {}
+    for wire, b, randomness, b_ct, c_ct in zip(
+        wires, b_values, randomizers, b_cts, c_cts
+    ):
+        proof = MultiplicationProof.prove(
+            tpk.paillier, beaver_a[wire], b_ct, c_ct, int(b), randomness,
+            proof_params, view.rng,
+            context=f"{context}|{wire}|{view.index}",
+        )
+        contributions[wire] = {"b_ct": b_ct, "c_ct": c_ct, "proof": proof}
     return contributions
 
 
@@ -261,6 +300,7 @@ def run_offline(
     env.set_phase("offline")
     params = setup.params
     tpk = setup.tpk
+    ring = setup.ring
     proof_params = setup.proof_params
     gates = program.circuit.gates
 
@@ -282,7 +322,9 @@ def run_offline(
         return f"beaver-a|{wire}"
 
     def program_a(view) -> None:
-        contributions = _proved_encryptions(setup, view, mul_wires, a_context)
+        contributions = proved_encryptions(
+            tpk, ring, proof_params, view, mul_wires, a_context
+        )
         resharing = build_resharing(
             tpk, view.gift("tsk_share"), dec_pks, proof_params, view.rng
         )
@@ -303,22 +345,9 @@ def run_offline(
     # -- Step 1b: committee B — Beaver `b`/`c` contributions ------------------
 
     def program_b(view) -> None:
-        b_values = [setup.ring.random(view.rng) for _ in mul_wires]
-        randomizers = [tpk.paillier.random_unit(view.rng) for _ in mul_wires]
-        b_cts = encrypt_many(tpk.paillier, [int(b) for b in b_values], randomizers)
-        c_cts = scalar_mul_many(
-            [beaver_a[wire] for wire in mul_wires], [int(b) for b in b_values]
+        contributions = proved_products(
+            tpk, ring, proof_params, view, beaver_a, mul_wires, "beaver-b"
         )
-        contributions = {}
-        for wire, b, randomness, b_ct, c_ct in zip(
-            mul_wires, b_values, randomizers, b_cts, c_cts
-        ):
-            proof = MultiplicationProof.prove(
-                tpk.paillier, beaver_a[wire], b_ct, c_ct, int(b), randomness,
-                proof_params, view.rng,
-                context=f"beaver-b|{wire}|{view.index}",
-            )
-            contributions[wire] = {"b_ct": b_ct, "c_ct": c_ct, "proof": proof}
         view.speak(OFFLINE_B, {"beaver_b": contributions})
 
     env.run_committee(committees[OFFLINE_B], program_b)
@@ -346,8 +375,12 @@ def run_offline(
         return "helper|%d|%s|%d" % key
 
     def program_r(view) -> None:
-        masks = _proved_encryptions(setup, view, mask_wires, mask_context)
-        helpers = _proved_encryptions(setup, view, helper_keys, helper_context)
+        masks = proved_encryptions(
+            tpk, ring, proof_params, view, mask_wires, mask_context
+        )
+        helpers = proved_encryptions(
+            tpk, ring, proof_params, view, helper_keys, helper_context
+        )
         view.speak(OFFLINE_R, {"masks": masks, "helpers": helpers})
 
     env.run_committee(committees[OFFLINE_R], program_r)

@@ -112,7 +112,9 @@ def test_board_bytes_identical_with_and_without_tables(board, monkeypatch):
 # (one depth, full batches, ADD only — pinned at 584370e) and a wide one
 # with all seven gate kinds, two multiplicative depths and a short batch
 # ([2,1,1] at k=2, [3,1] at k=3 — pinned at 95ec28f, as were both Turbopack
-# digests once they started covering the generator's end state).
+# digests once they started covering the generator's end state).  Both CDN
+# digests were re-pinned when its Beaver committees took core's draw order
+# (all values, then all randomizers; EXPERIMENTS.md §S3).
 
 _PIN_INPUTS = {"alice": [3, 1], "bob": [4, 1]}
 _WIDE_INPUTS = {"alice": [3, 1, 4], "bob": [1, 5, 9]}
@@ -173,7 +175,7 @@ def _pinned_turbopack(circuit, inputs, seed):
     (_pinned_core, {"params": ProtocolParams.from_gap(4, 0.2), "seed": 21}, False,
      "a1490ec5976a5c882e6f6ac0d9ee33a459f29c71773dc19edfeb739a6a2fcb02"),
     (_pinned_cdn, {"seed": 22}, False,
-     "5ec703882ddb94334caec7fa0bf1504998ac2a428908d68efd52423ef7dfc46b"),
+     "76df529011d07bc4868fc737889bde7b127edc0e4e81ff689b77a3828bc1426f"),
     (_pinned_it, {"k": 5, "seed": 23}, False,
      "5209666844966b274aac6533ea944b660a67ef62a4f5330208126d549dd94fdb"),
     (_pinned_turbopack, {"seed": 24}, False,
@@ -181,7 +183,7 @@ def _pinned_turbopack(circuit, inputs, seed):
     (_pinned_core, {"params": ProtocolParams.from_gap(5, 0.25), "seed": 31}, True,
      "94f7ac3868770e44f24d8ff694c5d4b7ae5b87de8ab2ca6b23eaa974d8f4c415"),
     (_pinned_cdn, {"seed": 32}, True,
-     "8586e54dd93e5f251c15804c00efbfbf88e0a2f33270ee2650008d7ade92e8ab"),
+     "e841921bf58e4aae67198439ca680541f56953c6d563e311599d18d86186aa6c"),
     (_pinned_it, {"k": 3, "seed": 33}, True,
      "74d9458bf882aad3eda237d4d46176eca2570761a12109e84c4fb1be7815d45a"),
     (_pinned_turbopack, {"seed": 34}, True,
