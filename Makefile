@@ -49,12 +49,17 @@ examples:
 table1:
 	python -m repro table1
 
-# Traced quickstart-sized run; the exported JSONL is schema-validated.
+# Traced quickstart-sized run; the written run report (with its trace
+# section) goes through the one reader.  Written outside the checkout so
+# `make check` leaves the tree clean.
+TRACE_DEMO_REPORT := $(or $(TMPDIR),/tmp)/repro_trace_demo.json
+
 trace-demo:
-	python -m repro trace --n 6 --epsilon 0.2 --seed 42 --jsonl trace_demo.jsonl
-	python -c "from repro.observability import validate_trace_jsonl; \
-	validate_trace_jsonl(open('trace_demo.jsonl').read()); \
-	print('trace_demo.jsonl: schema OK')"
+	python -m repro trace --n 6 --epsilon 0.2 --seed 42 --report $(TRACE_DEMO_REPORT)
+	python -c "from repro.accounting import loads_report; \
+	report = loads_report(open('$(TRACE_DEMO_REPORT)').read()); \
+	print('$(TRACE_DEMO_REPORT): version', report['version'], \
+	'-', len(report['trace']['spans']), 'spans OK')"
 
 # The service headline: 10^5 client submissions ingested, two aggregate
 # epochs evaluated, the threshold key reshared under churn + one crash.

@@ -8,19 +8,21 @@ targeted KFF distribution and μ broadcasts online.
 """
 
 from repro.accounting import format_table
-from repro.accounting.report import key_usage_matrix
 
 from conftest import print_banner
 
 
-def test_key_usage_matrix(benchmark, ours_sweep):
-    result = ours_sweep[6]
+PHASES = ("setup", "offline", "online")
 
-    matrix = benchmark(key_usage_matrix, result.meter)
+
+def test_key_usage_by_phase(benchmark, ours_sweep):
+    meter = ours_sweep[6].meter
+
+    matrix = benchmark(lambda: {phase: meter.by_tag(phase) for phase in PHASES})
 
     rows = []
-    for phase in ("setup", "offline", "online"):
-        for tag, size in sorted(matrix.get(phase, {}).items()):
+    for phase in PHASES:
+        for tag, size in sorted(matrix[phase].items()):
             rows.append((phase, tag, size))
     print_banner("Fig. 1 — message kinds per phase (from a metered run)")
     print(format_table(["phase", "message kind", "bytes"], rows))

@@ -31,12 +31,12 @@ def main() -> None:
     print(f"variance:      {outcome.variance}   (true: {true_var})")
     assert outcome.mean == true_mean and abs(outcome.variance - true_var) < 1e-9
 
-    report = outcome.result.report("private-statistics")
+    meter = outcome.result.meter
     print("\nper-phase communication:")
-    for phase in sorted(report.phase_bytes):
+    for phase, n_bytes in sorted(meter.by_phase().items()):
         print(
-            f"  {phase:<8} {report.phase_bytes[phase]:>10,} bytes in "
-            f"{report.phase_messages[phase]} messages"
+            f"  {phase:<8} {n_bytes:>10,} bytes in "
+            f"{meter.total_messages(phase)} messages"
         )
 
 

@@ -6,13 +6,7 @@ gate, offline O(n) per gate — DESIGN.md experiment rows E1–E3).
 """
 
 from repro.accounting.comm import CommMeter, MessageRecord
-from repro.accounting.report import (
-    CommReport,
-    comparison_table,
-    format_table,
-    key_usage_matrix,
-    per_gate_series,
-)
+from repro.accounting.report import format_table
 from repro.accounting.export import (
     dumps_report,
     loads_report,
@@ -44,11 +38,7 @@ def __getattr__(name):
 __all__ = [
     "CommMeter",
     "MessageRecord",
-    "CommReport",
-    "comparison_table",
     "format_table",
-    "key_usage_matrix",
-    "per_gate_series",
     "dumps_report",
     "loads_report",
     "report_from_mpc_result",

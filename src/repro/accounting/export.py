@@ -1,19 +1,54 @@
-"""Machine-readable run reports.
+"""The run document: one JSON record of one protocol execution.
 
-Serializes a protocol execution's communication profile (per-phase and
-per-tag bytes/messages, parameters, circuit shape) to a stable JSON
-document — the artifact a CI pipeline or a paper-plotting script consumes.
+:func:`run_report` is the only writer and :func:`loads_report` the only
+reader.  The document carries the communication profile (per-phase and
+per-tag bytes/messages, parameters, circuit shape), a ``transport``
+section when the run had a transport, and a ``trace`` section when it had
+a tracer: op counters in total and per phase, wall-clock per phase, and
+every span, pre-order, with its *own* counters.  Field by field:
+docs/OBSERVABILITY.md, "The run document".
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.accounting.comm import CommMeter
 from repro.errors import ParameterError
 
-EXPORT_VERSION = 2
+if TYPE_CHECKING:
+    from repro.core.protocol import MpcResult
+    from repro.observability.tracer import Span, Tracer
+    from repro.wire.transport import Transport
+
+EXPORT_VERSION = 3
+
+#: field -> allowed types, per level of the document (bool never passes).
+_DOCUMENT: dict[str, tuple[type, ...]] = {
+    "label": (str,),
+    "parameters": (dict,),
+    "circuit": (dict,),
+    "totals": (dict,),
+    "phases": (dict,),
+}
+_TRACE: dict[str, tuple[type, ...]] = {
+    "counters": (dict,),
+    "counters_by_phase": (dict,),
+    "wall_s_by_phase": (dict,),
+    "spans": (list,),
+}
+_SPAN: dict[str, tuple[type, ...]] = {
+    "id": (int,),
+    "parent": (int, type(None)),
+    "name": (str,),
+    "kind": (str,),
+    "phase": (str,),
+    "attrs": (dict,),
+    "start_s": (int, float),
+    "duration_s": (int, float),
+    "counters": (dict,),
+}
 
 
 def run_report(
@@ -21,16 +56,17 @@ def run_report(
     meter: CommMeter,
     parameters: Mapping[str, Any] | None = None,
     circuit_stats: Mapping[str, int] | None = None,
-    transport=None,
+    transport: Transport | None = None,
+    tracer: Tracer | None = None,
 ) -> dict[str, Any]:
     """A JSON-ready report of one metered execution.
 
-    ``transport`` (a :class:`repro.wire.transport.Transport`, optional)
-    adds a delivery section: counters plus the simulated and the measured
-    wall time per phase side by side.
+    ``transport`` adds a delivery section: counters plus the simulated and
+    the measured wall time per phase side by side.  ``tracer`` adds the
+    ``trace`` section.
     """
     phases = sorted(meter.by_phase())
-    report = {
+    report: dict[str, Any] = {
         "version": EXPORT_VERSION,
         "label": label,
         "parameters": dict(parameters or {}),
@@ -69,11 +105,37 @@ def run_report(
                 for phase in wall_phases
             },
         }
+    if tracer is not None:
+        report["trace"] = {
+            "counters": tracer.counter_totals(),
+            "counters_by_phase": tracer.counters_by_phase(),
+            "wall_s_by_phase": {
+                phase: round(s, 9)
+                for phase, s in tracer.wall_s_by_phase().items()
+            },
+            "spans": [_span_record(span) for span in tracer.spans()],
+        }
     return report
 
 
-def report_from_mpc_result(result) -> dict[str, Any]:
-    """Convenience: a report straight from a :class:`repro.core.MpcResult`."""
+def _span_record(span: Span) -> dict[str, Any]:
+    """One span as the document stores it (own counters, not rolled up)."""
+    return {
+        "id": span.span_id,
+        "parent": span.parent_id,
+        "name": span.name,
+        "kind": span.kind,
+        "phase": span.phase,
+        "attrs": {k: v for k, v in span.attrs.items() if k != "phase"},
+        "start_s": round(span.start_s, 9),
+        "duration_s": round(span.duration_s, 9),
+        "counters": dict(span.counters),
+    }
+
+
+def report_from_mpc_result(result: MpcResult) -> dict[str, Any]:
+    """The run document of a :class:`repro.core.MpcResult` (with its
+    ``trace`` section when the run was traced)."""
     params = result.params
     return run_report(
         label="yoso-mpc",
@@ -95,6 +157,7 @@ def report_from_mpc_result(result) -> dict[str, Any]:
             "batches": len(result.plan.mul_batches),
         },
         transport=result.transport,
+        tracer=result.trace,
     )
 
 
@@ -104,12 +167,51 @@ def dumps_report(report: Mapping[str, Any]) -> str:
 
 
 def loads_report(text: str) -> dict[str, Any]:
+    """Parse and validate a run document.
+
+    Raises :class:`~repro.errors.ParameterError` unless ``text`` is a JSON
+    object of this version whose required fields have their types, whose
+    span ids are unique, and whose every non-null span ``parent`` names a
+    span of the same document.
+    """
     try:
         report = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParameterError(f"invalid report JSON: {exc}") from exc
+    if not isinstance(report, dict):
+        raise ParameterError("report is not a JSON object")
     if report.get("version") != EXPORT_VERSION:
         raise ParameterError(
             f"unsupported report version {report.get('version')!r}"
         )
+    _check_fields(report, _DOCUMENT, "report")
+    if "trace" in report:
+        trace = report["trace"]
+        _check_fields(trace, _TRACE, "trace")
+        ids: set[int] = set()
+        for position, span in enumerate(trace["spans"]):
+            _check_fields(span, _SPAN, f"span #{position}")
+            if span["id"] in ids:
+                raise ParameterError(f"duplicate span id {span['id']}")
+            ids.add(span["id"])
+        for span in trace["spans"]:
+            if span["parent"] is not None and span["parent"] not in ids:
+                raise ParameterError(
+                    f"span {span['id']} references unknown parent {span['parent']}"
+                )
     return report
+
+
+def _check_fields(
+    record: Any, schema: Mapping[str, tuple[type, ...]], where: str
+) -> None:
+    if not isinstance(record, dict):
+        raise ParameterError(f"{where} is not an object")
+    for name, types in schema.items():
+        if name not in record:
+            raise ParameterError(f"{where} is missing {name!r}")
+        value = record[name]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ParameterError(
+                f"{where}.{name} has type {type(value).__name__}"
+            )

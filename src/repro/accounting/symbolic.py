@@ -1345,6 +1345,17 @@ def cost_check_enabled() -> bool:
     return True
 
 
+def check_run_costs(result: Any) -> None:
+    """The evaluators' post-run tail: :func:`verify_cost_exactness` on an
+    honest run's board, unless opted out.
+
+    The checker is looked up on this module at call time: the benchmark
+    harness and the tests wrap ``symbolic.verify_cost_exactness``.
+    """
+    if cost_check_enabled():
+        verify_cost_exactness(result)
+
+
 # -- parameter spaces ---------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from repro.accounting.comm import CommMeter
+from repro.accounting.symbolic import check_run_costs
 from repro.circuits.circuit import Circuit
 from repro.circuits.program import compile_circuit
 from repro.core.offline import (
@@ -316,11 +317,5 @@ class CdnYosoMpc:
         )
         # The baseline runs honestly, so every metered envelope must
         # match its closed-form size formula (repro.accounting.symbolic).
-        from repro.accounting.symbolic import (
-            cost_check_enabled,
-            verify_cost_exactness,
-        )
-
-        if cost_check_enabled():
-            verify_cost_exactness(result)
+        check_run_costs(result)
         return result

@@ -26,10 +26,11 @@ from typing import Sequence
 from repro.accounting import (
     dumps_report,
     format_table,
+    loads_report,
     report_from_mpc_result,
 )
 from repro.analysis.cli import add_lint_arguments, run_lint
-from repro.errors import ReproError, SortitionError
+from repro.errors import ParameterError, ReproError, SortitionError
 from repro.rng import derive_rng, seeded_rng
 
 
@@ -158,17 +159,31 @@ def _cmd_circuit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _load_circuit_and_inputs(args: argparse.Namespace):
+    """The ``--circuit`` / ``--inputs`` files of a ``run`` or ``trace``."""
     from repro.circuits import loads as load_circuit
-    from repro.core import run_mpc
 
     with open(args.circuit) as fh:
         circuit = load_circuit(fh.read())
     with open(args.inputs) as fh:
         inputs = json.load(fh)
     if not isinstance(inputs, dict):
-        print("inputs file must map client names to value lists")
-        return 1
+        raise ParameterError("inputs file must map client names to value lists")
+    return circuit, inputs
+
+
+def _write_report(result, path: str) -> None:
+    text = dumps_report(report_from_mpc_result(result))
+    loads_report(text)  # never export a document the reader rejects
+    with open(path, "w") as fh:
+        fh.write(text)
+    print(f"report written to {path}", file=sys.stderr)
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.core import run_mpc
+
+    circuit, inputs = _load_circuit_and_inputs(args)
     result = run_mpc(
         circuit, inputs, n=args.n, epsilon=args.epsilon, seed=args.seed,
         fail_stop=args.fail_stop, workers=args.workers,
@@ -176,9 +191,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     print(json.dumps(result.outputs, indent=2, sort_keys=True))
     if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(dumps_report(report_from_mpc_result(result)))
-        print(f"report written to {args.report}", file=sys.stderr)
+        _write_report(result, args.report)
     return 0
 
 
@@ -200,19 +213,13 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.core import run_mpc
-    from repro.observability import Tracer, dumps_trace_jsonl, validate_trace_jsonl
-    from repro.observability.export import merged_report
+    from repro.observability import Tracer
 
     if args.circuit:
-        from repro.circuits import loads as load_circuit
-
-        with open(args.circuit) as fh:
-            circuit = load_circuit(fh.read())
         if not args.inputs:
             print("--inputs is required with --circuit", file=sys.stderr)
             return 1
-        with open(args.inputs) as fh:
-            inputs = json.load(fh)
+        circuit, inputs = _load_circuit_and_inputs(args)
     else:
         from repro.circuits import dot_product_circuit
 
@@ -229,7 +236,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         tracer=tracer, workers=args.workers, transport=args.transport,
         quorum_timeout_s=args.quorum_timeout,
     )
-    report = merged_report(result)
 
     print(f"parameters: {result.params.describe()}")
     print(f"outputs:    {result.outputs}")
@@ -280,22 +286,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             f"{result.params.k}"
         )
 
-    if args.jsonl:
-        text = dumps_trace_jsonl(
-            tracer,
-            parameters=report["parameters"],
-            circuit_stats=report["circuit"],
-            meter=result.meter,
-        )
-        validate_trace_jsonl(text)  # never export a schema-invalid trace
-        with open(args.jsonl, "w") as fh:
-            fh.write(text)
-        print(f"\ntrace written to {args.jsonl} "
-              f"({len(text.splitlines())} records)", file=sys.stderr)
     if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(dumps_report(report))
-        print(f"merged report written to {args.report}", file=sys.stderr)
+        _write_report(result, args.report)
     return 0
 
 
@@ -712,8 +704,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--n", type=int, default=6, help="committee size")
     trace.add_argument("--epsilon", type=float, default=0.2, help="the gap")
     _add_execution_options(trace, seed_default=42)
-    trace.add_argument("--jsonl", help="write the JSONL trace here")
-    trace.add_argument("--report", help="write the merged comm+trace JSON here")
+    trace.add_argument("--report",
+                       help="write the JSON run report (with its trace) here")
     trace.set_defaults(fn=_cmd_trace)
 
     extra = sub.add_parser(

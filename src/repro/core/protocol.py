@@ -6,7 +6,7 @@
     protocol = YosoMpc(params, rng=random.Random(0))
     result   = protocol.run(circuit, {"alice": [3, 5], "bob": [7]})
     result.outputs      # {"alice": [...]}
-    result.report()     # per-phase communication
+    result.meter        # per-phase communication
 
 Corruption is configured through ``adversary_factory``, which receives the
 sampled committees (so tests can corrupt specific roles) and returns the
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.accounting.comm import CommMeter
-from repro.accounting.report import CommReport
+from repro.accounting.symbolic import check_run_costs
 from repro.circuits.circuit import Circuit
 from repro.circuits.layering import BatchPlan
 from repro.circuits.program import CircuitProgram, compile_circuit
@@ -71,17 +71,6 @@ class MpcResult:
     #: The compiled program the evaluators executed (``plan`` is its
     #: packing layout, kept as a separate field for existing consumers).
     program: CircuitProgram | None = None
-
-    def report(self, label: str = "yoso-mpc") -> CommReport:
-        return CommReport.from_meter(
-            label, self.params.n, len(self.circuit.gates), self.meter
-        )
-
-    def trace_report(self) -> dict:
-        """Merged comm+trace JSON document (requires a traced run)."""
-        from repro.observability.export import merged_report
-
-        return merged_report(self)
 
     def phase_bytes(self, phase: str) -> int:
         return self.meter.total_bytes(phase)
@@ -200,13 +189,7 @@ class YosoMpc:
         # (Adversarial transforms rewrite payloads arbitrarily, so the
         # structural contract only binds honest executions.)
         if self.adversary_factory is None:
-            from repro.accounting.symbolic import (
-                cost_check_enabled,
-                verify_cost_exactness,
-            )
-
-            if cost_check_enabled():
-                verify_cost_exactness(result)
+            check_run_costs(result)
         return result
 
 

@@ -53,6 +53,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from repro.accounting.comm import CommMeter
+from repro.accounting.symbolic import check_run_costs
 from repro.circuits.circuit import Circuit
 from repro.circuits.program import compile_circuit
 from repro.errors import ParameterError, ProtocolAbortError
@@ -369,11 +370,5 @@ class ItYosoMpc:
         # Honest runs double as validation oracles for the symbolic
         # cost model; adversarial transforms void the structural contract.
         if self._honest:
-            from repro.accounting.symbolic import (
-                cost_check_enabled,
-                verify_cost_exactness,
-            )
-
-            if cost_check_enabled():
-                verify_cost_exactness(result)
+            check_run_costs(result)
         return result

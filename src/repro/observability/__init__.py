@@ -7,29 +7,21 @@ this package answers *which operations, where, and how long*:
   with wall-clock intervals and monotonic op counters;
 * :mod:`repro.observability.hooks` — the global counter sink the crypto
   layers emit into (no-op unless a tracer is installed);
-* JSONL export with schema validation, and a merged comm+trace report
-  aligned with :mod:`repro.accounting.export`.
+* export lives with the rest of the run document: a traced result's
+  :func:`repro.accounting.report_from_mpc_result` carries a ``trace``
+  section (counters, per-phase wall-clock, every span).
 
 Entry points::
 
     from repro.observability import Tracer
     result = run_mpc(circuit, inputs, n=6, seed=1, tracer=Tracer())
     result.trace.counters_by_phase()    # deterministic op counts
-    result.trace_report()               # merged comm+trace JSON document
+    repro.accounting.report_from_mpc_result(result)   # run document + trace
 
 See docs/OBSERVABILITY.md for the span/counter model and how to read a
 trace against the paper's O(1)-online / O(n)-offline claims.
 """
 
-from repro.observability.export import (
-    TRACE_VERSION,
-    dumps_trace_jsonl,
-    loads_trace_jsonl,
-    merged_report,
-    trace_records,
-    trace_section,
-    validate_trace_jsonl,
-)
 from repro.observability.hooks import activated, active, install, note
 from repro.observability.tracer import (
     KIND_BATCH,
@@ -53,11 +45,4 @@ __all__ = [
     "active",
     "install",
     "note",
-    "TRACE_VERSION",
-    "trace_records",
-    "trace_section",
-    "dumps_trace_jsonl",
-    "loads_trace_jsonl",
-    "validate_trace_jsonl",
-    "merged_report",
 ]

@@ -1,12 +1,6 @@
 """Tests for communication metering and reporting."""
 
-from repro.accounting import (
-    CommMeter,
-    CommReport,
-    comparison_table,
-    format_table,
-    per_gate_series,
-)
+from repro.accounting import CommMeter, format_table
 
 
 class TestCommMeter:
@@ -40,33 +34,8 @@ class TestCommMeter:
 
 
 class TestReports:
-    def _report(self, n, per_gate):
-        meter = CommMeter()
-        meter.record_exact("online", "r", "mu", per_gate * 10)
-        return CommReport.from_meter(f"run-n{n}", n, 10, meter)
-
-    def test_bytes_per_gate(self):
-        rep = self._report(4, 7)
-        assert rep.bytes_per_gate("online") == 7.0
-        assert rep.bytes_per_gate("offline") == 0.0
-        assert rep.total_bytes == 70
-
-    def test_per_gate_series(self):
-        reports = [self._report(n, n) for n in (4, 8)]
-        assert per_gate_series(reports, "online") == [(4, 4.0), (8, 8.0)]
-
-    def test_zero_gates(self):
-        meter = CommMeter()
-        rep = CommReport.from_meter("x", 4, 0, meter)
-        assert rep.bytes_per_gate("online") == 0.0
-
     def test_format_table_alignment(self):
         table = format_table(["a", "bb"], [[1, 22], [333, 4]])
         lines = table.splitlines()
         assert len(lines) == 4
         assert len(set(len(l) for l in lines)) == 1
-
-    def test_comparison_table_mentions_protocols(self):
-        reports = [self._report(n, n) for n in (4, 8)]
-        table = comparison_table(reports, "online")
-        assert "run-n4" in table and "run-n8" in table

@@ -2,7 +2,7 @@
 
 import json
 
-
+from repro.accounting import loads_report
 from repro.circuits import dot_product_circuit, dumps as dump_circuit
 from repro.cli import main
 
@@ -47,8 +47,9 @@ class TestRunCommand:
         assert code == 0
         outputs = json.loads(capsys.readouterr().out)
         assert outputs == {"alice": [39]}
-        report = json.loads(report_path.read_text())
+        report = loads_report(report_path.read_text())
         assert report["parameters"]["n"] == 4
+        assert "trace" not in report
 
     def test_missing_file_is_an_error(self, capsys):
         assert main(["run", "--circuit", "/nope.json", "--inputs", "/nope2.json"]) == 1
@@ -72,33 +73,41 @@ class TestDemoCommand:
 
 
 class TestTraceCommand:
-    def test_trace_exports_validated_jsonl(self, tmp_path, capsys):
-        from repro.observability import loads_trace_jsonl
-
-        jsonl_path = tmp_path / "trace.jsonl"
-        report_path = tmp_path / "merged.json"
+    def test_traced_run_writes_spans_and_counters(self, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
         code = main([
             "trace", "--width", "2", "--n", "4", "--epsilon", "0.2",
-            "--seed", "1",
-            "--jsonl", str(jsonl_path), "--report", str(report_path),
+            "--seed", "1", "--report", str(report_path),
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "online.mul" in out
         assert "recoveries/gate" in out
-        trace = loads_trace_jsonl(jsonl_path.read_text())
-        assert trace["header"]["parameters"]["n"] == 4
-        per_phase = trace["summary"]["counters_by_phase"]
+        report = loads_report(report_path.read_text())
+        assert report["parameters"]["n"] == 4
+        per_phase = report["trace"]["counters_by_phase"]
         assert per_phase["online.mul"]["reencrypt.recovery"] > 0
         assert per_phase["offline"]["paillier.encrypt"] > 0
-        report = json.loads(report_path.read_text())
-        assert report["trace"]["counters_by_phase"] == per_phase
+        assert {s["kind"] for s in report["trace"]["spans"]} >= {"phase", "round"}
 
     def test_circuit_requires_inputs(self, tmp_path, capsys):
         circuit_path = tmp_path / "c.json"
         circuit_path.write_text(dump_circuit(dot_product_circuit(2)))
         assert main(["trace", "--circuit", str(circuit_path)]) == 1
         assert "--inputs" in capsys.readouterr().err
+
+    def test_bad_inputs_shape_rejected_like_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("repro.core.run_mpc", None)  # must not be reached
+        circuit_path = tmp_path / "c.json"
+        circuit_path.write_text(dump_circuit(dot_product_circuit(2)))
+        inputs_path = tmp_path / "i.json"
+        inputs_path.write_text("[1, 2, 3]")
+        files = ["--circuit", str(circuit_path), "--inputs", str(inputs_path)]
+        assert main(["run", *files]) == 1
+        message = capsys.readouterr().err
+        assert "inputs file must map client names" in message
+        assert main(["trace", *files]) == 1
+        assert capsys.readouterr().err == message
 
 
 class TestExtrapolateCommand:

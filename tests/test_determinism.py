@@ -113,8 +113,7 @@ def test_board_bytes_identical_with_and_without_tables(board, monkeypatch):
 # with all seven gate kinds, two multiplicative depths and a short batch
 # ([2,1,1] at k=2, [3,1] at k=3 — pinned at 95ec28f, as were both Turbopack
 # digests once they started covering the generator's end state).  Both CDN
-# digests were re-pinned when its Beaver committees took core's draw order
-# (all values, then all randomizers; EXPERIMENTS.md §S3).
+# digests re-pinned at ccbd8d4: Beaver draws in core's order (EXPERIMENTS §S3).
 
 _PIN_INPUTS = {"alice": [3, 1], "bob": [4, 1]}
 _WIDE_INPUTS = {"alice": [3, 1, 4], "bob": [1, 5, 9]}

@@ -1,4 +1,5 @@
-"""Tests for JSON run-report export."""
+"""Tests for the run document (``repro.accounting.export``); its ``trace``
+section is covered in ``tests/test_observability.py::TestExport``."""
 
 import json
 
@@ -45,6 +46,11 @@ class TestRunReport:
         with pytest.raises(ParameterError):
             loads_report("{nope")
 
+    @pytest.mark.parametrize("text", ["[1]", "3", "null", '"report"'])
+    def test_non_object_rejected(self, text):
+        with pytest.raises(ParameterError):
+            loads_report(text)
+
     def test_wrong_version_rejected(self):
         report = run_report("demo", _meter())
         report["version"] = 999
@@ -69,6 +75,7 @@ class TestFromMpcResult:
         assert report["parameters"]["k"] == result.params.k
         assert report["circuit"]["multiplications"] == 2
         assert report["totals"]["bytes"] == result.meter.total_bytes()
+        assert "trace" not in report  # the run had no tracer
 
     def test_report_serializes(self, result):
         text = dumps_report(report_from_mpc_result(result))

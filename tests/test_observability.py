@@ -1,10 +1,14 @@
 """Tests for the tracing & metrics layer (``repro.observability``)."""
 
-import json
-
 import pytest
 
-from repro.accounting import CommMeter
+from repro.accounting import (
+    CommMeter,
+    dumps_report,
+    loads_report,
+    report_from_mpc_result,
+    run_report,
+)
 from repro.circuits import dot_product_circuit
 from repro.core import run_mpc
 from repro.errors import ParameterError
@@ -15,14 +19,10 @@ from repro.observability import (
     Tracer,
     activated,
     active,
-    dumps_trace_jsonl,
-    loads_trace_jsonl,
     maybe_span,
     note,
-    trace_records,
 )
 from repro.observability import hooks
-from repro.observability.export import merged_report
 from repro.observability.tracer import UNATTRIBUTED
 
 
@@ -250,6 +250,9 @@ class TestProtocolTracing:
 
 
 class TestExport:
+    """The ``trace`` section of the run document; ``tests/test_export.py``
+    covers the rest of it."""
+
     def _traced(self):
         tracer = Tracer(clock=FakeClock(step=0.5))
         with tracer.span("offline", kind=KIND_PHASE, phase="offline"):
@@ -261,85 +264,94 @@ class TestExport:
                 tracer.count(hooks.REENCRYPT_RECOVERY, 6)
         return tracer
 
+    def _report(self, meter=None):
+        return run_report(
+            "unit", meter or CommMeter(), {"n": 4}, {"muls": 2},
+            tracer=self._traced(),
+        )
+
+    def _rejected(self, mutate):
+        report = self._report()
+        mutate(report)
+        with pytest.raises(ParameterError):
+            loads_report(dumps_report(report))
+
     def test_round_trip(self):
         tracer = self._traced()
-        text = dumps_trace_jsonl(
-            tracer, label="unit", parameters={"n": 4}, circuit_stats={"muls": 2}
-        )
-        trace = loads_trace_jsonl(text)
-        assert trace["header"]["label"] == "unit"
-        assert trace["header"]["parameters"] == {"n": 4}
+        report = self._report()
+        loaded = loads_report(dumps_report(report))
+        assert loaded == report
+        assert loaded["label"] == "unit"
+        assert loaded["parameters"] == {"n": 4}
+        trace = loaded["trace"]
         assert len(trace["spans"]) == tracer.n_spans()
-        assert trace["summary"]["counters"] == tracer.counter_totals()
-        assert trace["summary"]["counters_by_phase"] == tracer.counters_by_phase()
+        assert trace["counters"] == tracer.counter_totals()
+        assert trace["counters_by_phase"] == tracer.counters_by_phase()
+        assert trace["wall_s_by_phase"] == tracer.wall_s_by_phase()
 
     def test_span_records_preserve_structure(self):
-        tracer = self._traced()
-        trace = loads_trace_jsonl(dumps_trace_jsonl(tracer))
-        by_id = {s["id"]: s for s in trace["spans"]}
-        round_rec = next(s for s in trace["spans"] if s["kind"] == KIND_ROUND)
-        assert round_rec["parent"] in by_id
-        assert by_id[round_rec["parent"]]["name"] == "offline"
-        assert round_rec["attrs"]["committee"] == "C1"
-
-    def test_meter_bytes_included(self):
-        tracer = self._traced()
-        meter = CommMeter()
-        meter.record_exact("offline", "r1", "tag", 6)
-        trace = loads_trace_jsonl(dumps_trace_jsonl(tracer, meter=meter))
-        assert trace["summary"]["comm_bytes_by_phase"] == meter.by_phase()
-
-    def test_records_are_valid_json_lines(self):
-        text = dumps_trace_jsonl(self._traced())
-        for line in text.splitlines():
-            json.loads(line)
-
-    def test_rejects_missing_header(self):
-        text = dumps_trace_jsonl(self._traced())
-        body = "\n".join(text.splitlines()[1:])
-        with pytest.raises(ParameterError):
-            loads_trace_jsonl(body)
-
-    def test_rejects_unknown_record_kind(self):
-        text = dumps_trace_jsonl(self._traced())
-        bad = text + "\n" + json.dumps({"record": "mystery"})
-        with pytest.raises(ParameterError):
-            loads_trace_jsonl(bad)
-
-    def test_rejects_wrong_version(self):
-        lines = dumps_trace_jsonl(self._traced()).splitlines()
-        header = json.loads(lines[0])
-        header["version"] = 999
-        lines[0] = json.dumps(header)
-        with pytest.raises(ParameterError):
-            loads_trace_jsonl("\n".join(lines))
-
-    def test_rejects_orphan_parent(self):
-        lines = dumps_trace_jsonl(self._traced()).splitlines()
-        span = json.loads(lines[1])
-        span["parent"] = 10_000
-        lines[1] = json.dumps(span)
-        with pytest.raises(ParameterError):
-            loads_trace_jsonl("\n".join(lines))
-
-    def test_rejects_mistyped_field(self):
-        lines = dumps_trace_jsonl(self._traced()).splitlines()
-        span = json.loads(lines[1])
-        span["start_s"] = "yesterday"
-        lines[1] = json.dumps(span)
-        with pytest.raises(ParameterError):
-            loads_trace_jsonl("\n".join(lines))
+        spans = self._report()["trace"]["spans"]
+        by_id = {s["id"]: s for s in spans}
+        round_rec = next(s for s in spans if s["kind"] == KIND_ROUND)
+        parent = by_id[round_rec["parent"]]
+        assert parent["name"] == "offline" and parent["parent"] is None
+        assert round_rec["attrs"] == {"committee": "C1", "members": 3}
+        assert (round_rec["start_s"], round_rec["duration_s"]) == (0.5, 0.5)
+        # Own counters, not rolled up: the round's 9 stay out of its parent.
+        assert parent["counters"] == {hooks.PAILLIER_ENCRYPT: 4}
+        assert round_rec["counters"] == {hooks.PAILLIER_EXP: 9}
 
     def test_trace_records_kinds(self):
-        records = trace_records(self._traced())
-        assert records[0]["record"] == "header"
-        assert records[-1]["record"] == "summary"
-        assert all(r["record"] == "span" for r in records[1:-1])
+        spans = self._report()["trace"]["spans"]  # pre-order
+        assert [(s["name"], s["kind"], s["phase"]) for s in spans] == [
+            ("offline", KIND_PHASE, "offline"),
+            ("round-1", KIND_ROUND, "offline"),
+            ("online", KIND_PHASE, "online"),
+            ("b0", KIND_BATCH, "online.mul"),
+        ]
 
-    def test_merged_report_requires_trace(self):
-        circuit = dot_product_circuit(2)
-        result = run_mpc(
-            circuit, {"alice": [1, 1], "bob": [1, 1]}, n=4, epsilon=0.2, seed=3
-        )
-        with pytest.raises(ParameterError):
-            merged_report(result)
+    def test_meter_bytes_included(self):
+        meter = CommMeter()
+        meter.record_exact("offline", "r1", "tag", 6)
+        phases = loads_report(dumps_report(self._report(meter)))["phases"]
+        assert {p: v["bytes"] for p, v in phases.items()} == meter.by_phase()
+
+    def test_rejects_missing_header(self):
+        # The always-present fields, then the trace section's.
+        for name in ("label", "parameters", "circuit", "phases"):
+            self._rejected(lambda r: r.pop(name))
+        for name in ("counters", "counters_by_phase", "wall_s_by_phase", "spans"):
+            self._rejected(lambda r: r["trace"].pop(name))
+
+    def test_rejects_wrong_version(self):
+        for version in (2, "3", None):
+            self._rejected(lambda r: r.update(version=version))
+
+    def test_rejects_orphan_parent(self):
+        self._rejected(lambda r: r["trace"]["spans"][1].update(parent=10_000))
+
+    def test_rejects_duplicate_span_id(self):
+        self._rejected(lambda r: r["trace"]["spans"][1].update(id=1))
+
+    def test_rejects_mistyped_field(self):
+        for name, value in [
+            ("start_s", "yesterday"), ("duration_s", True),
+            ("id", True), ("parent", False), ("attrs", []), ("name", 7),
+        ]:
+            self._rejected(lambda r: r["trace"]["spans"][1].update({name: value}))
+        self._rejected(lambda r: r["trace"]["spans"].insert(0, "offline"))
+        self._rejected(lambda r: r.update(trace=[]))
+
+    def test_same_seed_runs_export_identical_text(self):
+        """Two records of one seeded run can be diffed: nothing in the
+        document but the clock varies between them."""
+        def text():
+            result = run_mpc(
+                dot_product_circuit(2), {"alice": [2, 3], "bob": [5, 7]},
+                n=4, epsilon=0.2, seed=11, tracer=Tracer(clock=FakeClock(0.25)),
+            )
+            return dumps_report(report_from_mpc_result(result))
+
+        first = text()
+        assert first == text()
+        assert loads_report(first)["trace"]["spans"]

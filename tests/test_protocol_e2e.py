@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from repro.accounting import report_from_mpc_result
 from repro.circuits import (
     CircuitBuilder,
     dot_product_circuit,
@@ -170,9 +171,9 @@ class TestInputValidation:
 
 class TestResultApi:
     def test_report_shape(self, dot_result):
-        report = dot_result.report()
-        assert report.n_parties == 6
-        assert report.total_bytes == dot_result.meter.total_bytes()
+        report = report_from_mpc_result(dot_result)
+        assert report["parameters"]["n"] == 6
+        assert report["totals"]["bytes"] == dot_result.meter.total_bytes()
 
     def test_online_mul_bytes_subset_of_online(self, dot_result):
         assert 0 < dot_result.online_mul_bytes() <= dot_result.phase_bytes("online")
