@@ -50,9 +50,11 @@ Symbol glossary (run-bound symbols are bound per envelope):
 
 from __future__ import annotations
 
+import importlib.util
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields as dc_fields, is_dataclass
+from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import ReproError
@@ -213,6 +215,26 @@ class _SizeCtx:
             assert value is not None, "live walk reached an absent int leaf"
             self._acc(int_wire_len(value))
         return int_nominal(bits)
+
+    def ints(self, values: Any, count: Any, bits: Any) -> Any:
+        """Exactly ``count`` ints of one declared width: ``repeat`` over a
+        bare ``intv`` (the same closed form, every value's exact length
+        still in ``actual``) without the per-leaf calls."""
+        if self._live():
+            assert values is not None, "live walk reached an absent sequence"
+            assert len(values) == int(count), (
+                f"expected {count} items, payload has {len(values)}"
+            )
+            self.actual += sum(map(int_wire_len, values))
+        return count * int_nominal(bits)
+
+    def keyed_ints(self, items: Any, count: Any, bits: Any) -> Any:
+        """``count`` dict entries ``small key -> int``, priced by ``repeat``."""
+        return self.repeat(
+            items, count,
+            lambda it: self.small(None if it is None else it[0])
+            + self.intv(None if it is None else it[1], bits),
+        )
 
     def small(self, value: int | None) -> Any:
         """An index/epoch/id-sized integer (nominal one data byte)."""
@@ -405,10 +427,7 @@ def _resharing(ctx: _SizeCtx, r: Any) -> Any:
     n += ctx.small(None if r is None else r.epoch)
     n += ctx.small(None if r is None else r.offset_bits)
     n += ctx.seq(P.n, None if r is None else len(r.verifications))
-    n += ctx.repeat(
-        None if r is None else r.verifications, P.n,
-        lambda v: ctx.intv(v, 2 * P.te),
-    )
+    n += ctx.ints(None if r is None else r.verifications, P.n, 2 * P.te)
     n += ctx.seq(P.n, None if r is None else len(r.subshares))
     n += ctx.repeat(
         None if r is None else r.subshares, P.n,
@@ -502,11 +521,7 @@ def _b_setup_keys(ctx: _SizeCtx, p: Any) -> Any:
     n += ctx.strf("tsk_verifications")
     verifs = None if te_sec is None else list(te_sec["tsk_verifications"].items())
     n += ctx.seq(P.n, None if verifs is None else len(verifs))
-    n += ctx.repeat(
-        verifs, P.n,
-        lambda it: ctx.small(None if it is None else it[0])
-        + ctx.intv(None if it is None else it[1], 2 * P.te),
-    )
+    n += ctx.keyed_ints(verifs, P.n, 2 * P.te)
     n += ctx.strf("verification_base")
     n += ctx.intv(
         None if te_sec is None else te_sec["verification_base"], 2 * P.te
@@ -679,11 +694,7 @@ def _b_online_input(ctx: _SizeCtx, p: Any) -> Any:
     n += ctx.strf("mu")
     items = _dict_items(p, "mu")
     n += ctx.seq(ni, None if items is None else len(items))
-    n += ctx.repeat(
-        items, ni,
-        lambda it: ctx.small(None if it is None else it[0])
-        + ctx.intv(None if it is None else it[1], P.te),
-    )
+    n += ctx.keyed_ints(items, ni, P.te)
     return n
 
 
@@ -771,6 +782,17 @@ def _b_cdn_eval(ctx: _SizeCtx, p: Any) -> Any:
     return n
 
 
+def _it_share_row(ctx: _SizeCtx, item: Any, kind_len: int) -> Any:
+    """A ``(batch, kind) -> n shares`` entry of a P1 deal or P2 transfer."""
+    key, vec = (None, None) if item is None else item
+    m = ctx.seq(2)  # the (batch, kind) tuple key
+    m += ctx.small(None if key is None else key[0])
+    m += ctx.strn(None if key is None else key[1], kind_len)
+    m += ctx.seq(ctx.P.n, None if vec is None else len(vec))
+    m += ctx.ints(vec, ctx.P.n, ctx.P.fb)
+    return m
+
+
 def _b_it_p1(ctx: _SizeCtx, p: Any) -> Any:
     P = ctx.P
     nd = ctx.bind("Nb", lambda: len(p["deals"]))
@@ -780,47 +802,24 @@ def _b_it_p1(ctx: _SizeCtx, p: Any) -> Any:
     n += ctx.strf("client_masks")
     masks = _dict_items(p, "client_masks")
     n += ctx.seq(ni, None if masks is None else len(masks))
-    n += ctx.repeat(
-        masks, ni,
-        lambda it: ctx.small(None if it is None else it[0])
-        + ctx.intv(None if it is None else it[1], P.fb),
-    )
+    n += ctx.keyed_ints(masks, ni, P.fb)
 
     n += ctx.strf("deals")
     deals = _dict_items(p, "deals")
     n += ctx.seq(nd, None if deals is None else len(deals))
-
-    def deal(item: Any) -> Any:
-        key, vec = (None, None) if item is None else item
-        m = ctx.seq(2)  # (batch, kind) tuple key; kinds left/right/out_2d
-        m += ctx.small(None if key is None else key[0])
-        m += ctx.strn(None if key is None else key[1], 6)
-        m += ctx.seq(P.n, None if vec is None else len(vec))
-        m += ctx.repeat(vec, P.n, lambda v: ctx.intv(v, P.fb))
-        return m
-
-    n += ctx.repeat(deals, nd, deal)
+    # kinds left/right/out_2d: nominal six bytes
+    n += ctx.repeat(deals, nd, lambda item: _it_share_row(ctx, item, 6))
     return n
 
 
 def _b_it_p2(ctx: _SizeCtx, p: Any) -> Any:
-    P = ctx.P
     nt = ctx.bind("Nt", lambda: len(p["transfers"]))
     n = ctx.seq(1, None if p is None else len(p))
     n += ctx.strf("transfers")
     items = _dict_items(p, "transfers")
     n += ctx.seq(nt, None if items is None else len(items))
-
-    def transfer(item: Any) -> Any:
-        key, vec = (None, None) if item is None else item
-        m = ctx.seq(2)  # (batch, kind) tuple key; kinds left/right/gamma
-        m += ctx.small(None if key is None else key[0])
-        m += ctx.strn(None if key is None else key[1], 5)
-        m += ctx.seq(P.n, None if vec is None else len(vec))
-        m += ctx.repeat(vec, P.n, lambda v: ctx.intv(v, P.fb))
-        return m
-
-    n += ctx.repeat(items, nt, transfer)
+    # kinds left/right/gamma: nominal five bytes
+    n += ctx.repeat(items, nt, lambda item: _it_share_row(ctx, item, 5))
     return n
 
 
@@ -831,11 +830,7 @@ def _b_it_input(ctx: _SizeCtx, p: Any) -> Any:
     n += ctx.strf("mu")
     items = _dict_items(p, "mu")
     n += ctx.seq(ni, None if items is None else len(items))
-    n += ctx.repeat(
-        items, ni,
-        lambda it: ctx.small(None if it is None else it[0])
-        + ctx.intv(None if it is None else it[1], P.fb),
-    )
+    n += ctx.keyed_ints(items, ni, P.fb)
     return n
 
 
@@ -846,11 +841,7 @@ def _b_it_mul(ctx: _SizeCtx, p: Any) -> Any:
     n += ctx.strf("mu_shares")
     items = _dict_items(p, "mu_shares")
     n += ctx.seq(nb, None if items is None else len(items))
-    n += ctx.repeat(
-        items, nb,
-        lambda it: ctx.small(None if it is None else it[0])
-        + ctx.intv(None if it is None else it[1], P.fb),
-    )
+    n += ctx.keyed_ints(items, nb, P.fb)
     return n
 
 
@@ -898,13 +889,9 @@ def _b_epoch_result(ctx: _SizeCtx, p: Any) -> Any:
     n += ctx.small(None if p is None else p.epoch)
     n += ctx.strv(None if p is None else p.workload, lw)
     n += ctx.seq(ni, None if p is None else len(p.outputs))
-    n += ctx.repeat(
-        None if p is None else p.outputs, ni, lambda v: ctx.intv(v, P.te)
-    )
+    n += ctx.ints(None if p is None else p.outputs, ni, P.te)
     n += ctx.seq(nc, None if p is None else len(p.contributors))
-    n += ctx.repeat(
-        None if p is None else p.contributors, nc, lambda v: ctx.small(v)
-    )
+    n += ctx.ints(None if p is None else p.contributors, nc, 8)
     return n
 
 
@@ -1163,7 +1150,7 @@ def measure_post(post: Any, space: _Space) -> EnvelopeMeasurement:
     wire_kind = kind_by_name(post.kind)
     envelope = post.envelope()
     ctx = _SizeCtx(space)
-    body_nominal = spec.builder(ctx, post.payload)
+    body_nominal = spec.builder(ctx, post.peek())
     if ctx.actual != len(envelope.body):
         raise CostExactnessError(
             f"{spec.variant} ({post.tag!r} from {post.sender}): structural "
@@ -1183,10 +1170,9 @@ def measure_post(post: Any, space: _Space) -> EnvelopeMeasurement:
         ls, lp, lt, body_nominal,
     )
     slack = nominal - actual
-    bindings = dict(ctx.bindings)
-    bindings.update(
-        {"R": envelope.round, "Ls": ls, "Lp": lp, "Lt": lt, "S": slack}
-    )
+    bindings = {
+        **ctx.bindings, "R": envelope.round, "Ls": ls, "Lp": lp, "Lt": lt, "S": slack,
+    }
     return EnvelopeMeasurement(
         kind=post.kind, variant=spec.variant, tag=post.tag,
         sender=post.sender, phase=post.phase, round=post.round,
@@ -1277,14 +1263,17 @@ def verify_cost_exactness(
     *,
     bulletin: Any = None,
     space: _Space | None = None,
+    start: int = 0,
 ) -> ExactnessReport:
     """Assert ``formula == measured bytes`` for every envelope on a board.
 
     Accepts an :class:`~repro.core.protocol.MpcResult`,
     :class:`~repro.baselines.cdn.CdnResult`, or
     :class:`~repro.extensions.it_yoso.ItYosoResult` (or an explicit
-    bulletin + parameter space).  Raises :class:`CostExactnessError` on
-    the first deviating envelope; returns per-variant totals otherwise.
+    bulletin + parameter space).  ``start`` skips the posts a caller has
+    checked already (the service checks an epoch's posts at its close).
+    Raises :class:`CostExactnessError` on the first deviating envelope;
+    returns per-variant totals otherwise.
     """
     if result is not None:
         bulletin = getattr(result, "bulletin", None)
@@ -1296,8 +1285,8 @@ def verify_cost_exactness(
     if bulletin is None or space is None:
         raise CostExactnessError("need a result, or a bulletin and a space")
 
-    per_variant: dict[str, list[EnvelopeMeasurement]] = {}
-    for post in bulletin:
+    sums: dict[str, KindTotal] = {}
+    for post in islice(bulletin, start, None):
         m = measure_post(post, space)
         if m.actual != m.measured:
             raise CostExactnessError(
@@ -1310,24 +1299,24 @@ def verify_cost_exactness(
                 f"{m.variant} ({m.tag!r} from {m.sender}): formula gives "
                 f"{expected} bytes, wire delivered {m.measured}"
             )
-        per_variant.setdefault(m.variant, []).append(m)
-
-    totals = []
-    for variant in sorted(per_variant):
-        ms = per_variant[variant]
-        totals.append(
-            KindTotal(
-                kind=ms[0].kind, variant=variant, envelopes=len(ms),
-                measured_bytes=sum(m.measured for m in ms),
-                formula_bytes=sum(m.measured for m in ms),
-                slack_bytes=sum(m.slack for m in ms),
-            )
+        tot = sums.get(m.variant) or KindTotal(m.kind, m.variant, 0, 0, 0, 0)
+        sums[m.variant] = KindTotal(
+            m.kind, m.variant, tot.envelopes + 1,
+            measured_bytes=tot.measured_bytes + m.measured,
+            formula_bytes=tot.formula_bytes + expected,
+            slack_bytes=tot.slack_bytes + m.slack,
         )
+
+    totals = tuple(sums[variant] for variant in sorted(sums))
     return ExactnessReport(
         envelopes=sum(t.envelopes for t in totals),
         total_measured=sum(t.measured_bytes for t in totals),
-        totals=tuple(totals),
+        totals=totals,
     )
+
+
+#: Probed once: the formulas need sympy, the exact helpers do not.
+_HAVE_SYMPY = importlib.util.find_spec("sympy") is not None
 
 
 def cost_check_enabled() -> bool:
@@ -1336,13 +1325,7 @@ def cost_check_enabled() -> bool:
     Opt out with ``REPRO_COST_CHECK=0``; silently skipped when sympy is
     not importable (the exact helpers never need it).
     """
-    if os.environ.get("REPRO_COST_CHECK", "1") == "0":
-        return False
-    try:
-        import sympy  # noqa: F401
-    except ImportError:
-        return False
-    return True
+    return _HAVE_SYMPY and os.environ.get("REPRO_COST_CHECK", "1") != "0"
 
 
 def check_run_costs(result: Any) -> None:

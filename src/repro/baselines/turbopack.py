@@ -26,7 +26,7 @@ from repro.errors import ParameterError
 from repro.fields.ring import Zmod, ZmodElement
 from repro.packed_online import MuTracker, mu_gamma_share
 from repro.rng import fresh_rng
-from repro.sharing.packed import PackedShare, packed_scheme
+from repro.sharing.packed import packed_scheme
 
 
 @dataclass
@@ -50,8 +50,8 @@ class _Preprocessing:
 
     #: wire-indexed masks λ
     lambdas: list[ZmodElement | None]
-    #: (batch, kind) -> packed sharing (one share per party)
-    packed: dict[tuple[int, str], list[PackedShare]] = field(default_factory=dict)
+    #: (batch, kind) -> packed sharing (row of one int share per party)
+    packed: dict[tuple[int, str], list[int]] = field(default_factory=dict)
 
 
 class TurbopackSimulator:
@@ -91,17 +91,18 @@ class TurbopackSimulator:
         # All (batch, kind) vectors share one batched dealing; the rng
         # stream matches the historical left/right/gamma per-batch order.
         keys: list[tuple[int, str]] = []
-        vectors: list[list[ZmodElement]] = []
+        vectors: list[list[int]] = []
+        lam = [None if v is None else v.value for v in prep.lambdas]
         for batch in program.plan.mul_batches:
-            pad = self.k - len(batch.gate_wires)
-            left = [prep.lambdas[w] for w in batch.left_wires] + [ring.zero] * pad
-            right = [prep.lambdas[w] for w in batch.right_wires] + [ring.zero] * pad
+            pad = [0] * (self.k - len(batch.gate_wires))
+            left = [lam[w] for w in batch.left_wires] + pad
+            right = [lam[w] for w in batch.right_wires] + pad
             gamma = [
-                prep.lambdas[a] * prep.lambdas[b] - prep.lambdas[g]
+                (lam[a] * lam[b] - lam[g]) % ring.modulus
                 for a, b, g in zip(
                     batch.left_wires, batch.right_wires, batch.gate_wires
                 )
-            ] + [ring.zero] * pad
+            ] + pad
             for kind, vector in zip(KINDS, (left, right, gamma)):
                 keys.append((batch.batch_id, kind))
                 vectors.append(vector)
@@ -136,7 +137,7 @@ class TurbopackSimulator:
         product_degree = self.t + 2 * (self.k - 1)
         for depth in program.mul_depths:
             batches = program.depth_batches[depth]
-            shares: list[list[tuple[int, ZmodElement]]] = []
+            shares: list[list[tuple[int, int]]] = []
             for batch in batches:
                 # One cached-matrix product gives every party's canonical
                 # μ shares at once.
@@ -153,9 +154,9 @@ class TurbopackSimulator:
                     meter.record_exact(
                         "online", f"party{i}", "mu-share-to-p1", element_bytes
                     )
-                    posted.append((i, mu_gamma_share(
-                        ml.value, mr.value, ll.value, rr.value, gg.value
-                    )))
+                    posted.append(
+                        (i, mu_gamma_share(ml, mr, ll, rr, gg, ring.modulus))
+                    )
                 shares.append(posted)
             tracker.open_batches(self.scheme, batches, shares, product_degree)
             for _ in batches:

@@ -260,28 +260,26 @@ def run_online(
                         ciphertext = offline.packed_cipher[(batch.batch_id, kind)][
                             view.index - 1
                         ]
-                        lam[kind] = setup.ring.element(
-                            recover_reencrypted(
-                                tpk, ciphertext, offline.packed_bundles[key], kff_sk,
-                                offline.verifications[2], proof_params,
-                            )
+                        lam[kind] = recover_reencrypted(
+                            tpk, ciphertext, offline.packed_bundles[key], kff_sk,
+                            offline.verifications[2], proof_params,
                         )
                     ((mu_left, mu_right),) = online.tracker.canonical_shares(
                         scheme, [batch], view.index
                     )
                     value = mu_gamma_share(
-                        mu_left.value, mu_right.value,
-                        lam["left"], lam["right"], lam["gamma"],
+                        mu_left, mu_right, lam["left"], lam["right"],
+                        lam["gamma"], setup.ring.modulus,
                     )
                     if params.robust_reconstruction:
                         # Proof-free mode: bad shares are *corrected*, not
                         # excluded, so no token rides along.
-                        shares[batch.batch_id] = {"value": int(value)}
+                        shares[batch.batch_id] = {"value": value}
                     else:
                         token = online.oracle.attest(
-                            batch.batch_id, view.index, int(value)
+                            batch.batch_id, view.index, value
                         )
-                        shares[batch.batch_id] = {"value": int(value), "proof": token}
+                        shares[batch.batch_id] = {"value": value, "proof": token}
             view.speak(name, {"mu_shares": shares})
 
         env.run_committee(committee, program_mul)

@@ -135,7 +135,7 @@ class ItYosoMpc:
 
     # -- share-transfer helper (the IT re-encrypt-to-the-future) -----------
 
-    def _transfer_row(self, source_degree: int, index: int) -> list[ZmodElement]:
+    def _transfer_row(self, source_degree: int, index: int) -> list[int]:
         """L_i: the public vector a share at ``index`` contributes per slot.
 
         For a degree-``source_degree`` sharing known at points 1..D+1, the
@@ -146,7 +146,7 @@ class ItYosoMpc:
         """
         points = tuple(range(1, source_degree + 2))
         rows = self.scheme.evaluation_rows(points, tuple(secret_slots(self.k)))
-        return [self.ring.element(row[index - 1]) for row in rows]
+        return [row[index - 1] for row in rows]
 
     # -- main entry ----------------------------------------------------------
 
@@ -160,6 +160,7 @@ class ItYosoMpc:
             rng=self.rng,
         )
         ring, scheme, n, k, d = self.ring, self.scheme, self.n, self.k, self.d
+        q = ring.modulus
         batches = list(program.plan.mul_batches)
         depths = list(program.mul_depths)
 
@@ -175,9 +176,6 @@ class ItYosoMpc:
         env.set_phase("offline")
         mask_wires = list(program.mask_wires)
 
-        def pad(values: list[ZmodElement]) -> list[ZmodElement]:
-            return values + [ring.zero] * (k - len(values))
-
         def program_p1(view) -> None:
             # Additive contributions to the input/mul wire masks, extended
             # through the linear gates by the mask rule (λ^w = Σ_i m_i^w
@@ -190,25 +188,25 @@ class ItYosoMpc:
             # stream and the share values match the historical per-sharing
             # loop exactly (degrees d, d, 2d interleave per batch).
             keys: list[tuple[int, str]] = []
-            vectors: list[list[ZmodElement]] = []
+            vectors: list[list[int]] = []
             degrees: list[int] = []
             for batch in batches:
-                for kind, vector in (
-                    ("left", pad([contrib[w] for w in batch.left_wires])),
-                    ("right", pad([contrib[w] for w in batch.right_wires])),
-                    ("out_2d", pad([contrib[w] for w in batch.gate_wires])),
+                for kind, wires in (
+                    ("left", batch.left_wires),
+                    ("right", batch.right_wires),
+                    ("out_2d", batch.gate_wires),
                 ):
                     keys.append((batch.batch_id, kind))
-                    vectors.append(vector)
+                    vectors.append(
+                        [contrib[w].value for w in wires] + [0] * (k - len(wires))
+                    )
                     degrees.append(2 * d if kind == "out_2d" else d)
-            deals: dict[tuple[int, str], list[int]] = {
-                key: [int(s.value) for s in sharing]
-                for key, sharing in zip(
-                    keys, scheme.share_many(vectors, degree=degrees, rng=view.rng)
-                )
-            }
+            # The kernel's share rows are posted as they come.
+            deals: dict[tuple[int, str], list[int]] = dict(zip(
+                keys, scheme.share_many(vectors, degree=degrees, rng=view.rng)
+            ))
             client_masks = {
-                w: int(contrib[w])
+                w: contrib[w].value
                 for w in list(circuit.input_wires) + list(circuit.output_wires)
             }
             view.speak("It-P1", {"deals": deals, "client_masks": client_masks})
@@ -220,22 +218,14 @@ class ItYosoMpc:
 
         # λ^w for client-facing wires (the functionality delivers privately).
         client_lambda = {
-            w: sum(
-                (ring.element(p["client_masks"][w]) for p in p1_payloads),
-                ring.zero,
-            )
+            w: sum(p["client_masks"][w] for p in p1_payloads) % q
             for w in list(circuit.input_wires) + list(circuit.output_wires)
         }
 
         # P2 member shares of each batch sharing: sums of the P1 deals.
-        def p2_share(batch_id: int, kind: str, index: int) -> ZmodElement:
-            return sum(
-                (
-                    ring.element(p["deals"][(batch_id, kind)][index - 1])
-                    for p in p1_payloads
-                ),
-                ring.zero,
-            )
+        def p2_share(batch_id: int, kind: str, index: int) -> int:
+            key = (batch_id, kind)
+            return sum(p["deals"][key][index - 1] for p in p1_payloads) % q
 
         # ---- P2: multiply and transfer to the online committees ---------------
 
@@ -248,12 +238,12 @@ class ItYosoMpc:
                 for deg in (d, 2 * d)
             }
             keys: list[tuple[int, str]] = []
-            vectors: list[list[ZmodElement]] = []
+            vectors: list[list[int]] = []
             for batch in batches:
                 left = p2_share(batch.batch_id, "left", i)
                 right = p2_share(batch.batch_id, "right", i)
                 out2d = p2_share(batch.batch_id, "out_2d", i)
-                gamma_share = left * right - out2d  # degree-2d share of Γ
+                gamma_share = (left * right - out2d) % q  # degree-2d share of Γ
                 for kind, sigma, source_degree in (
                     ("left", left, d),
                     ("right", right, d),
@@ -263,32 +253,27 @@ class ItYosoMpc:
                     if row is None:
                         continue  # only D+1 contributors are needed
                     keys.append((batch.batch_id, kind))
-                    vectors.append([sigma * c for c in row])
-            transfers: dict[tuple[int, str], list[int]] = {
-                key: [int(s.value) for s in sharing]
-                for key, sharing in zip(
-                    keys, scheme.share_many(vectors, degree=d, rng=view.rng)
-                )
-            }
+                    vectors.append([sigma * c % q for c in row])
+            transfers: dict[tuple[int, str], list[int]] = dict(zip(
+                keys, scheme.share_many(vectors, degree=d, rng=view.rng)
+            ))
             view.speak("It-P2", {"transfers": transfers})
 
         env.run_committee(p2, program_p2)
         p2_payloads = env.posts_by_index(p2)
 
-        def online_share(batch_id: int, kind: str, index: int) -> ZmodElement:
+        def online_share(batch_id: int, kind: str, index: int) -> int:
             source_degree = 2 * d if kind == "gamma" else d
-            contributors = range(1, source_degree + 2)
-            total = ring.zero
-            for i in contributors:
+            key = (batch_id, kind)
+            total = 0
+            for i in range(1, source_degree + 2):
                 payload = p2_payloads.get(i)
                 if payload is None:
                     raise ProtocolAbortError(
                         "semi-honest IT protocol lost a P2 transfer"
                     )
-                total = total + ring.element(
-                    payload["transfers"][(batch_id, kind)][index - 1]
-                )
-            return total
+                total += payload["transfers"][key][index - 1]
+            return total % q
 
         # ---- Online: inputs, μ evaluation, outputs ---------------------------
 
@@ -303,7 +288,7 @@ class ItYosoMpc:
                     "It-input",
                     {
                         "mu": {
-                            w: int(ring.element(v) - client_lambda[w])
+                            w: (int(v) - client_lambda[w]) % q
                             for w, v in zip(wires, supplied)
                         }
                     },
@@ -327,12 +312,13 @@ class ItYosoMpc:
                 # Both canonical μ shares of every batch at this depth come
                 # out of one cached-matrix product.
                 shares_out = {
-                    batch.batch_id: int(mu_gamma_share(
-                        mu_left.value, mu_right.value,
+                    batch.batch_id: mu_gamma_share(
+                        mu_left, mu_right,
                         online_share(batch.batch_id, "left", i),
                         online_share(batch.batch_id, "right", i),
                         online_share(batch.batch_id, "gamma", i),
-                    ))
+                        q,
+                    )
                     for batch, (mu_left, mu_right) in zip(
                         by_depth[depth],
                         tracker.canonical_shares(scheme, by_depth[depth], i),

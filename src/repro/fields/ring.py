@@ -80,9 +80,13 @@ class Zmod:
         ``rng`` may be any object with ``randrange`` (e.g. ``random.Random``
         for reproducible tests); defaults to a CSPRNG.
         """
+        return ZmodElement(self, self.random_value(rng))
+
+    def random_value(self, rng: secrets.SystemRandom | None = None) -> int:
+        """:meth:`random` as a plain int (the same single draw from ``rng``)."""
         if rng is None:
-            return ZmodElement(self, secrets.randbelow(self.modulus))
-        return ZmodElement(self, rng.randrange(self.modulus))
+            return secrets.randbelow(self.modulus)
+        return rng.randrange(self.modulus)
 
     def random_vector(self, length: int, rng=None) -> list[ZmodElement]:
         return [self.random(rng) for _ in range(length)]

@@ -22,22 +22,26 @@ from repro.circuits.layering import MultiplicationBatch
 from repro.circuits.program import CircuitProgram
 from repro.errors import ProtocolAbortError
 from repro.fields.ring import Zmod, ZmodElement
-from repro.sharing.packed import PackedShamirScheme, PackedShare
+from repro.sharing.packed import PackedShamirScheme
 
 
 def mu_gamma_share(
-    mu_left: ZmodElement,
-    mu_right: ZmodElement,
-    lam_left: ZmodElement,
-    lam_right: ZmodElement,
-    gamma: ZmodElement,
-) -> ZmodElement:
+    mu_left: int,
+    mu_right: int,
+    lam_left: int,
+    lam_right: int,
+    gamma: int,
+    modulus: int,
+) -> int:
     """One member's degree-(t+2(k−1)) share of a batch's μ^γ.
 
     ``μ^α_i·μ^β_i + μ^α_i·λ^β_i + μ^β_i·λ^α_i + Γ_i`` — slot-wise this is
-    (μ^α + λ^α)(μ^β + λ^β) − λ^γ = v^γ − λ^γ.
+    (μ^α + λ^α)(μ^β + λ^β) − λ^γ = v^γ − λ^γ.  Plain ints in, one
+    reduction mod ``modulus`` out.
     """
-    return mu_left * mu_right + mu_left * lam_right + mu_right * lam_left + gamma
+    return (
+        mu_left * mu_right + mu_left * lam_right + mu_right * lam_left + gamma
+    ) % modulus
 
 
 class MuTracker:
@@ -90,19 +94,20 @@ class MuTracker:
         """Per batch, the canonical degree-(k−1) sharing of (μ^α, μ^β).
 
         The public operand vectors are zero-padded to the packing width;
-        with ``index`` each entry is that party's pair of shares, without
-        it the pair of full sharings — one cached-matrix product either way.
+        with ``index`` each entry is that party's pair of int shares,
+        without it the pair of n-share int rows — one cached-matrix
+        product either way.
         """
         vectors = []
         for batch in batches:
             for wires in (batch.left_wires, batch.right_wires):
-                values = [self.get(w) for w in wires]
-                vectors.append(values + [self.ring.zero] * (scheme.k - len(values)))
+                values = [self.get(w).value for w in wires]
+                vectors.append(values + [0] * (scheme.k - len(values)))
         shares = scheme.canonical_many(vectors, index=index)
         return list(zip(shares[0::2], shares[1::2]))
 
     def set_batch(
-        self, batch: MultiplicationBatch, opened: Sequence[ZmodElement]
+        self, batch: MultiplicationBatch, opened: Sequence[int | ZmodElement]
     ) -> None:
         """Record a batch's opened μ^γ vector (padding slots are dropped)."""
         for slot, wire in enumerate(batch.gate_wires):
@@ -112,7 +117,7 @@ class MuTracker:
         self,
         scheme: PackedShamirScheme,
         batches: Sequence[MultiplicationBatch],
-        shares: Sequence[Sequence[tuple[int, int | ZmodElement]]],
+        shares: Sequence[Sequence[tuple[int, int]]],
         degree: int,
     ) -> None:
         """Open each batch's μ^γ from its first ``degree + 1`` shares.
@@ -120,18 +125,14 @@ class MuTracker:
         ``shares[j]`` holds batch j's authenticated ``(member, value)``
         pairs in member order; all batches reconstruct in one product.
         """
-        bases = []
         for batch, posted in zip(batches, shares):
             if len(posted) < degree + 1:
                 raise ProtocolAbortError(
                     f"batch {batch.batch_id}: only {len(posted)} usable μ "
                     f"shares, need {degree + 1}"
                 )
-            bases.append([
-                PackedShare(member, self.ring.element(value), degree, scheme.k)
-                for member, value in posted[: degree + 1]
-            ])
-        for batch, opened in zip(
-            batches, scheme.reconstruct_many(bases, degree=degree)
-        ):
+        rows = scheme.reconstruct_many(
+            [posted[: degree + 1] for posted in shares], degree
+        )
+        for batch, opened in zip(batches, rows):
             self.set_batch(batch, opened)

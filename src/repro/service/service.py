@@ -8,9 +8,9 @@ and its committees.  Committee parameters (n, t) come from the sortition
 planner via :meth:`ProtocolParams.from_gap`, exactly as the core
 protocol sizes its own committees.
 
-After every epoch the service cross-checks its own bulletin board
-against the symbolic cost model (``verify_cost_exactness`` with
-:func:`~repro.accounting.symbolic.space_for_service`): every
+At every epoch close the service cross-checks the posts that epoch added
+to its board against the symbolic cost model (``verify_cost_exactness``
+with :func:`~repro.accounting.symbolic.space_for_service`): every
 ``ClientInput``, announcement, result, and resharing envelope must match
 its closed-form byte formula exactly.  The inner MPC run performs the
 same check on its own board.
@@ -77,6 +77,8 @@ class EpochSummary:
     online_bytes_per_gate: float
     board_bytes: int
     inner_result: Any = field(repr=False, default=None)
+    #: This epoch's ``ExactnessReport`` (None when the check is opted out).
+    cost_report: Any = field(repr=False, default=None)
 
 
 class MpcService:
@@ -130,6 +132,7 @@ class MpcService:
         self._pipeline: IngestPipeline | None = None
         self._ingest_seconds = 0.0
         self._ingest_processed = 0
+        self._costs_verified = 0  # board posts already cost-checked
 
     # -- plumbing -------------------------------------------------------------
 
@@ -218,8 +221,7 @@ class MpcService:
         reshare_seconds = time.perf_counter() - started
 
         self._pipeline = None
-        if cost_check_enabled():
-            self.verify_costs()
+        cost_report = self.verify_costs() if cost_check_enabled() else None
 
         circuit = inner.circuit
         processed = self._ingest_processed
@@ -249,11 +251,13 @@ class MpcService:
             ),
             board_bytes=self.board.encoded_total_bytes(),
             inner_result=inner,
+            cost_report=cost_report,
         )
 
     def verify_costs(self):
-        """Byte-exactness of every envelope on the service's own board."""
-        return verify_cost_exactness(
+        """Byte-exactness of every envelope posted since the last check
+        (each post is walked once, however long the service lives)."""
+        report = verify_cost_exactness(
             bulletin=self.board,
             space=space_for_service(
                 n=self.config.n,
@@ -262,4 +266,7 @@ class MpcService:
                 role_key_bits=self.config.role_key_bits,
                 proof_params=self.coordinator.proof_params,
             ),
+            start=self._costs_verified,
         )
+        self._costs_verified += report.envelopes
+        return report

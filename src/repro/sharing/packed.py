@@ -179,37 +179,34 @@ class PackedShamirScheme:
         _hooks.note(_hooks.SHARING_CANONICAL)
         return PackedShare(index, value, self.k - 1, self.k)
 
-    # -- batched kernel APIs (ISSUE 10) --------------------------------------
+    # -- batched kernel APIs: int rows in, int rows out ------------------------
 
     def share_many(
         self,
         secret_vectors: Sequence[Sequence[int | ZmodElement]],
         degree: int | Sequence[int] | None = None,
         rng=None,
-    ) -> list[PackedSharing]:
+    ) -> list[list[int]]:
         """Deal many packed sharings through one cached dealing matrix.
 
-        ``degree`` is a single degree for every vector or one degree per
-        vector (protocols interleave degrees d and 2d in a single rng
-        stream, so per-vector degrees are needed to keep the stream
-        identical to sequential :meth:`share` calls).  Bit-for-bit
-        equivalent to ``[self.share(v, d, rng) for v, d in ...]`` on every
-        backend: the random coefficients are drawn per vector in dealing
-        order, then the shares come out of one matrix product per degree.
+        Row ``j`` holds the shares of parties ``1..n`` of vector ``j`` as
+        plain ints.  ``degree`` is a single degree for every vector or one
+        degree per vector (protocols interleave degrees d and 2d in a
+        single rng stream, so per-vector degrees are needed to keep the
+        stream identical to sequential :meth:`share` calls).  The values of
+        ``[self.share(v, d, rng) for v, d in ...]`` on every backend: the
+        random coefficients are drawn per vector in dealing order, then
+        the shares come out of one matrix product per degree.
         """
-        vectors = [self._check_secrets(v) for v in secret_vectors]
-        degrees = self._check_degrees(degree, len(vectors))
+        columns = [self._check_row(v) for v in secret_vectors]
+        degrees = self._check_degrees(degree, len(columns))
         backend = self._backend()
-        # Draw the random columns first, in vector order: this is exactly
+        # Draw the random values first, in vector order: this is exactly
         # the rng consumption of sequential share() calls.
-        columns: list[list[int]] = []
-        for vec, d in zip(vectors, degrees):
-            free = d + 1 - self.k
-            columns.append(
-                [int(v) for v in vec]
-                + [int(self.ring.random(rng)) for _ in range(free)]
-            )
-        out: list[PackedSharing | None] = [None] * len(vectors)
+        draw = self.ring.random_value
+        for column, d in zip(columns, degrees):
+            column.extend([draw(rng) for _ in range(d + 1 - self.k)])
+        out: list[list[int] | None] = [None] * len(columns)
         by_degree: dict[int, list[int]] = {}
         for pos, d in enumerate(degrees):
             by_degree.setdefault(d, []).append(pos)
@@ -218,50 +215,37 @@ class PackedShamirScheme:
             shares = matmul_mod(
                 rows, [columns[p] for p in positions], self.ring.modulus, backend
             )
+            _hooks.note(_hooks.SHARING_DEALT, len(positions))
             for pos, values in zip(positions, shares):
-                _hooks.note(_hooks.SHARING_DEALT)
-                out[pos] = [
-                    PackedShare(i, ZmodElement(self.ring, v), d, self.k)
-                    for i, v in enumerate(values, start=1)
-                ]
-        return [sharing for sharing in out if sharing is not None]
+                out[pos] = values
+        return [row for row in out if row is not None]
 
     def canonical_many(
         self,
         public_vectors: Sequence[Sequence[int | ZmodElement]],
         index: int | None = None,
-    ) -> list[PackedSharing] | list[PackedShare]:
+    ) -> list[list[int]] | list[int]:
         """Canonical degree-(k-1) sharings of many public vectors at once.
 
-        With ``index`` the result is one :class:`PackedShare` per vector
-        (party ``index``'s canonical share, as :meth:`canonical_share_for`
-        returns); without it, full canonical sharings.  One cached k-column
-        matrix serves every call on this geometry.
+        With ``index`` the result is one int per vector (party ``index``'s
+        canonical share, the value :meth:`canonical_share_for` returns);
+        without it, one row of all ``n`` shares per vector.  One cached
+        k-column matrix serves every call on this geometry.
         """
-        vectors = [self._check_secrets(v) for v in public_vectors]
+        columns = [self._check_row(v) for v in public_vectors]
         backend = self._backend()
         _, rows = self._dealing_matrix(self.k - 1)
-        if index is not None:
-            if not 1 <= index <= self.n:
-                raise ParameterError(f"party index {index} outside 1..{self.n}")
-            rows = (rows[index - 1],)
-        columns = [[int(v) for v in vec] for vec in vectors]
-        values = matmul_mod(rows, columns, self.ring.modulus, backend)
-        if index is not None:
-            # Mirror canonical_share_for's per-share counter (the full-
-            # sharing path mirrors canonical_sharing, which notes nothing).
-            _hooks.note(_hooks.SHARING_CANONICAL, len(vectors))
-            return [
-                PackedShare(index, ZmodElement(self.ring, vals[0]), self.k - 1, self.k)
-                for vals in values
-            ]
-        return [
-            [
-                PackedShare(i, ZmodElement(self.ring, v), self.k - 1, self.k)
-                for i, v in enumerate(vals, start=1)
-            ]
-            for vals in values
-        ]
+        if index is None:
+            return matmul_mod(rows, columns, self.ring.modulus, backend)
+        if not 1 <= index <= self.n:
+            raise ParameterError(f"party index {index} outside 1..{self.n}")
+        values = matmul_mod(
+            (rows[index - 1],), columns, self.ring.modulus, backend
+        )
+        # Mirror canonical_share_for's per-share counter (the full-sharing
+        # path mirrors canonical_sharing, which notes nothing).
+        _hooks.note(_hooks.SHARING_CANONICAL, len(columns))
+        return [vals[0] for vals in values]
 
     # -- reconstruction ---------------------------------------------------------
 
@@ -331,75 +315,68 @@ class PackedShamirScheme:
 
     def reconstruct_many(
         self,
-        sharings: Sequence[Iterable[PackedShare]],
-        degree: int | None = None,
-    ) -> list[list[ZmodElement]]:
+        sharings: Sequence[Iterable[tuple[int, int]]],
+        degree: int,
+    ) -> list[list[int]]:
         """Reconstruct many sharings through cached slot-evaluation matrices.
 
-        Semantics per sharing are identical to :meth:`reconstruct` —
-        deduplication with conflict detection, degree/packing checks,
+        Each sharing is ``(party index, share value)`` int pairs of a
+        degree-``degree`` sharing; row ``j`` of the result is the secret
+        vector of ``sharings[j]``.  Semantics per sharing are those of
+        :meth:`reconstruct` — deduplication with conflict detection,
         redundant shares verified against the interpolant of the first
         ``degree+1`` — but the Lagrange rows are computed once per distinct
         base-point tuple and applied as one matrix product per group.
-        Validation runs in two passes (all sharings are deduped and
-        shape-checked before any consistency check fires), so when several
-        sharings are bad, which one raises first can differ from a
-        sequential loop; the error types and messages are the same.
+        All sharings are deduped and length-checked before any consistency
+        check fires, so when several are bad, which one raises first can
+        differ from a sequential loop; error types and messages do not.
         """
         backend = self._backend()
-        slots = secret_slots(self.k)
-        prepared: list[tuple[list[PackedShare], list[PackedShare], int]] = []
-        for sharing in sharings:
-            share_list = _dedupe(sharing)
-            if not share_list:
-                raise ReconstructionError("no shares supplied")
-            d = degree if degree is not None else share_list[0].degree
-            for s in share_list:
-                if s.degree != d:
-                    raise ReconstructionError(
-                        f"mixed degrees in reconstruction: {s.degree} vs {d}"
-                    )
-                if s.k != self.k:
-                    raise ReconstructionError(
-                        f"share with k={s.k} in k={self.k} scheme"
-                    )
-            if len(share_list) < d + 1:
-                raise ReconstructionError(
-                    f"need {d + 1} shares for degree {d}, got {len(share_list)}"
-                )
-            prepared.append((share_list[: d + 1], share_list[d + 1 :], d))
+        modulus = self.ring.modulus
+        prepared: list[list[tuple[int, int]]] = []
         # Group by base-point tuple: committees post in a fixed order, so
         # in practice every sharing of a batch shares one matrix.
         by_points: dict[tuple[int, ...], list[int]] = {}
-        for pos, (base, _, _) in enumerate(prepared):
-            by_points.setdefault(tuple(s.index for s in base), []).append(pos)
-        results: list[list[ZmodElement] | None] = [None] * len(prepared)
-        modulus = self.ring.modulus
+        for pos, sharing in enumerate(sharings):
+            points = _dedupe_points(sharing, modulus)
+            if not points:
+                raise ReconstructionError("no shares supplied")
+            if len(points) < degree + 1:
+                raise ReconstructionError(
+                    f"need {degree + 1} shares for degree {degree}, "
+                    f"got {len(points)}"
+                )
+            prepared.append(points)
+            xs = tuple(x for x, _ in points[: degree + 1])
+            by_points.setdefault(xs, []).append(pos)
+        results: list[list[int] | None] = [None] * len(prepared)
+        slots = tuple(secret_slots(self.k))
         for xs, positions in by_points.items():
             columns = [
-                [int(s.value) for s in prepared[pos][0]] for pos in positions
+                [v for _, v in prepared[pos][: degree + 1]] for pos in positions
             ]
             # Redundant shares: evaluate the base interpolant at the extra
             # indices and compare (the matrix analogue of poly(s.index)).
             extra_targets = sorted(
-                {s.index for pos in positions for s in prepared[pos][1]}
+                {x for pos in positions for x, _ in prepared[pos][degree + 1 :]}
             )
             if extra_targets:
                 check_rows = self.evaluation_rows(xs, tuple(extra_targets))
                 predicted = matmul_mod(check_rows, columns, modulus, backend)
                 at_index = {x: r for r, x in enumerate(extra_targets)}
                 for pos, values in zip(positions, predicted):
-                    for s in prepared[pos][1]:
-                        if values[at_index[s.index]] != int(s.value):
+                    for x, v in prepared[pos][degree + 1 :]:
+                        if values[at_index[x]] != v:
                             raise ReconstructionError(
-                                f"share of party {s.index} inconsistent "
+                                f"share of party {x} inconsistent "
                                 f"with the others"
                             )
-            slot_rows = self.evaluation_rows(xs, tuple(slots))
-            opened = matmul_mod(slot_rows, columns, modulus, backend)
+            opened = matmul_mod(
+                self.evaluation_rows(xs, slots), columns, modulus, backend
+            )
+            _hooks.note(_hooks.SHARING_RECONSTRUCTED, len(positions))
             for pos, values in zip(positions, opened):
-                _hooks.note(_hooks.SHARING_RECONSTRUCTED)
-                results[pos] = [ZmodElement(self.ring, v) for v in values]
+                results[pos] = values
         return [r for r in results if r is not None]
 
     # -- local operations ----------------------------------------------------
@@ -434,18 +411,7 @@ class PackedShamirScheme:
                 f"public_product needs degree <= n-k={self.n - self.k}, "
                 f"got {sharing[0].degree}"
             )
-        # One canonical sharing of the public vector serves every party
-        # (historically this re-interpolated per share).
-        canonical = {s.index: s for s in self.canonical_many([public])[0]}
-        return [
-            (
-                canonical[s.index]
-                if s.index in canonical
-                else self.canonical_share_for(public, s.index)
-            )
-            * s
-            for s in sharing
-        ]
+        return [self.canonical_share_for(public, s.index) * s for s in sharing]
 
     def scale(self, sharing: PackedSharing, scalar) -> PackedSharing:
         return [s.scale(scalar) for s in sharing]
@@ -548,12 +514,19 @@ class PackedShamirScheme:
             self._check_degree(d)
         return degrees
 
-    def _check_secrets(self, secrets: Sequence[int | ZmodElement]) -> list[ZmodElement]:
+    def _check_row(self, secrets: Sequence[int | ZmodElement]) -> list[int]:
+        """``secrets`` as a fresh row of ints reduced mod the ring modulus."""
         if len(secrets) != self.k:
             raise ParameterError(
                 f"expected {self.k} packed secrets, got {len(secrets)}"
             )
-        return [self.ring.element(s) for s in secrets]
+        modulus, element = self.ring.modulus, self.ring.element
+        return [
+            v % modulus if type(v) is int else element(v).value for v in secrets
+        ]
+
+    def _check_secrets(self, secrets: Sequence[int | ZmodElement]) -> list[ZmodElement]:
+        return [ZmodElement(self.ring, v) for v in self._check_row(secrets)]
 
 
 _SCHEME_CACHE: dict[tuple[int, int, int, int], PackedShamirScheme] = {}
@@ -585,6 +558,18 @@ def _dedupe(shares: Iterable[PackedShare]) -> list[PackedShare]:
             raise ReconstructionError(f"conflicting shares for party {s.index}")
         seen[s.index] = s
     return list(seen.values())
+
+
+def _dedupe_points(
+    sharing: Iterable[tuple[int, int]], modulus: int
+) -> list[tuple[int, int]]:
+    """:func:`_dedupe` for ``(index, value)`` int pairs, values reduced."""
+    seen: dict[int, int] = {}
+    for index, value in sharing:
+        value %= modulus
+        if seen.setdefault(index, value) != value:
+            raise ReconstructionError(f"conflicting shares for party {index}")
+    return list(seen.items())
 
 
 def _zip_by_index(a: PackedSharing, b: PackedSharing):

@@ -287,15 +287,21 @@ class WireCodec:
             out.append(TAG_STR)
             write_varint(out, len(raw))
             out += raw
-        elif isinstance(value, list):
-            out.append(TAG_LIST)
+        elif isinstance(value, (list, tuple)):
+            out.append(TAG_LIST if isinstance(value, list) else TAG_TUPLE)
             write_varint(out, len(value))
+            append = out.append
             for item in value:
-                self._encode(item, out)
-        elif isinstance(value, tuple):
-            out.append(TAG_TUPLE)
-            write_varint(out, len(value))
-            for item in value:
+                # Share vectors are runs of plain ints: write the ones with
+                # a one-byte length inline (what _encode_int would emit).
+                if type(item) is int and item:
+                    magnitude = item if item > 0 else -item
+                    length = (magnitude.bit_length() + 7) >> 3
+                    if length < 0x80:
+                        append(TAG_INT_POS if item > 0 else TAG_INT_NEG)
+                        append(length)
+                        out += magnitude.to_bytes(length, "big")
+                        continue
                 self._encode(item, out)
         elif isinstance(value, dict):
             pairs = sorted(
@@ -387,7 +393,23 @@ class WireCodec:
             count, pos = read_varint(data, pos)
             self._check_count(data, pos, count)
             items = []
+            end = len(data)
+            from_bytes = int.from_bytes
             for _ in range(count):
+                # A well-formed int with a one-byte length is read inline;
+                # anything else (rejections included) takes the full path.
+                if pos + 1 < end:
+                    item_tag = data[pos]
+                    if item_tag == TAG_INT_POS or item_tag == TAG_INT_NEG:
+                        length = data[pos + 1]
+                        start, stop = pos + 2, pos + 2 + length
+                        if 0 < length < 0x80 and stop <= end and data[start]:
+                            magnitude = from_bytes(data[start:stop], "big")
+                            items.append(
+                                magnitude if item_tag == TAG_INT_POS else -magnitude
+                            )
+                            pos = stop
+                            continue
                 item, pos = self._decode(data, pos)
                 items.append(item)
             return (items if tag == TAG_LIST else tuple(items)), pos

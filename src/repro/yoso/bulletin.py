@@ -68,15 +68,22 @@ class Post:
     @property
     def payload(self) -> Any:
         if not self._decoded:
-            envelope = decode_envelope(self.encoded)
-            try:
-                self._payload = self._codec.decode(envelope.body)
-            except Exception:
-                _hooks.note(_hooks.WIRE_DECODE_FAILURES)
-                raise
-            _hooks.note(_hooks.WIRE_DECODES)
+            self._payload = self.peek()
             self._decoded = True
         return self._payload
+
+    def peek(self) -> Any:
+        """The payload without caching it: a walker of the whole board (the
+        cost check) must not leave every post holding its decoded form."""
+        if self._decoded:
+            return self._payload
+        try:
+            payload = self._codec.decode(decode_envelope(self.encoded).body)
+        except Exception:
+            _hooks.note(_hooks.WIRE_DECODE_FAILURES)
+            raise
+        _hooks.note(_hooks.WIRE_DECODES)
+        return payload
 
     def envelope(self) -> Envelope:
         """Re-parse the stored envelope frame."""

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.accounting.symbolic import cost_check_enabled
+from repro.accounting.symbolic import CostExactnessError, cost_check_enabled
 from repro.errors import (
     EpochMismatchError,
     InvalidProofError,
@@ -66,8 +66,7 @@ def stats_run():
             _submit_clients(svc, announcement, values, rng)
             summary = svc.close_epoch(crash=3 if index == 0 else None)
             runs.append((values, summary))
-        report = svc.verify_costs()
-    return runs, report
+    return runs, [summary.cost_report for _, summary in runs]
 
 
 class TestStatisticsService:
@@ -103,13 +102,16 @@ class TestStatisticsService:
         assert replaced >= round(0.10 * STATS_CLIENTS)
         assert runs[1][1].epoch == 1
 
+    @pytest.mark.skipif(not cost_check_enabled(), reason="cost check disabled")
     def test_cost_exactness_on_memory_transport(self, stats_run):
-        _, report = stats_run
+        _, reports = stats_run
         # Announcements, >=10^1 client inputs per epoch, results, and
-        # resharings all matched their closed-form byte formulas.
-        assert report.envelopes > 2 * STATS_CLIENTS
-        variants = {tot.variant for tot in report.totals}
-        assert "service.client_input" in variants
+        # resharings all matched their closed-form byte formulas, each at
+        # the close of the epoch that posted them.
+        for report in reports:
+            assert report.envelopes > STATS_CLIENTS
+            variants = {tot.variant for tot in report.totals}
+            assert "service.client_input" in variants
 
     def test_epochs_advance_and_key_rotates(self, stats_run):
         runs, _ = stats_run
@@ -156,12 +158,72 @@ def test_cost_exactness_on_sim_transport():
         values = {f"c-{i}": rng.randrange(50) for i in range(6)}
         _submit_clients(svc, announcement, values, rng)
         summary = svc.close_epoch()
-        report = svc.verify_costs()
     assert summary.population == 6
-    assert {tot.variant for tot in report.totals} >= {
+    assert {tot.variant for tot in summary.cost_report.totals} >= {
         "service.client_input", "service.epoch",
         "service.result", "service.reshare",
     }
+
+
+def _run_epochs(svc, count, rng, clients=5, before_close=None):
+    summaries = []
+    for index in range(count):
+        announcement = svc.open_epoch()
+        values = {f"e{index}-{i}": rng.randrange(50) for i in range(clients)}
+        _submit_clients(svc, announcement, values, rng)
+        if before_close is not None:
+            before_close(index)
+        summaries.append(svc.close_epoch())
+    return summaries
+
+
+@pytest.mark.skipif(not cost_check_enabled(), reason="cost check disabled")
+def test_epoch_cost_reports_partition_the_board():
+    """Each close checks its own epoch's posts: once each, none skipped."""
+    with MpcService(workload="statistics", statistics_groups=2, seed=41) as svc:
+        board_sizes = []
+        summaries = _run_epochs(
+            svc, 3, random.Random(23),
+            before_close=lambda _: board_sizes.append(len(svc.board)),
+        )
+        reports = [summary.cost_report for summary in summaries]
+        assert sum(r.envelopes for r in reports) == len(svc.board)
+        assert sum(r.total_measured for r in reports) == (
+            svc.board.encoded_total_bytes()
+        )
+        # Flat per epoch, not growing with the board: epoch i's report
+        # covers the posts between close i−1 and close i.
+        closes = [0] + [
+            sum(r.envelopes for r in reports[: i + 1]) for i in range(3)
+        ]
+        for i, size_before_close in enumerate(board_sizes):
+            assert closes[i] < size_before_close < closes[i + 1]
+        assert len({r.envelopes for r in reports}) == 1
+        # Nothing is left for an extra audit call.
+        assert svc.verify_costs().envelopes == 0
+        # The walk decoded every client input without pinning it to the board.
+        inputs = [p for p in svc.board if p.tag.startswith("svc-input:")]
+        assert len(inputs) == 15 and not any(p._decoded for p in inputs)
+        assert inputs[0].peek() == inputs[0].payload and inputs[0]._decoded
+
+
+@pytest.mark.skipif(not cost_check_enabled(), reason="cost check disabled")
+def test_corrupted_post_caught_at_its_own_epoch_close():
+    with MpcService(workload="statistics", statistics_groups=2, seed=43) as svc:
+        rng = random.Random(29)
+        _run_epochs(svc, 1, rng)
+        clean = len(svc.board)
+
+        def corrupt(index):
+            # Epoch 2's first client input claims one byte it does not have.
+            post = next(
+                p for p in list(svc.board)[clean:]
+                if p.tag.startswith("svc-input:")
+            )
+            post.n_bytes += 1
+
+        with pytest.raises(CostExactnessError, match="walked"):
+            _run_epochs(svc, 1, rng, before_close=corrupt)
 
 
 def test_service_over_socket_transport():

@@ -1,11 +1,13 @@
 """Cross-path equivalence suite for the batched sharing kernel.
 
-Pins :meth:`share_many` / :meth:`canonical_many` / :meth:`reconstruct_many`
-on both backends (numpy limb kernel, pure-int) to the single-sharing
-polynomial path — a loop of :meth:`share` / :meth:`canonical_sharing` /
-:meth:`reconstruct`: identical share values for identical RNG streams, with
-the RNG left in the identical end state.  Geometries cover k=1, n<2k−1,
-minimum and maximum degrees; moduli straddle the 63-bit numpy cutover.
+Pins the int rows of :meth:`share_many` / :meth:`canonical_many` /
+:meth:`reconstruct_many` on both backends (numpy limb kernel, pure-int) to
+the single-sharing polynomial path — a loop of :meth:`share` /
+:meth:`canonical_sharing` / :meth:`reconstruct` with the ``PackedShare``
+values unboxed: identical share values for identical RNG streams, with the
+RNG left in the identical end state.  Geometries cover k=1, n<2k−1,
+minimum and maximum degrees; moduli straddle the 63-bit numpy cutover and
+reach the core protocol's 256-bit test width.
 """
 
 import random
@@ -20,6 +22,7 @@ from repro.fields import Zmod
 from repro.sharing import (
     NUMPY_MODULUS_BITS,
     PackedShamirScheme,
+    PackedShare,
     kernel,
     matmul_mod,
     packed_scheme,
@@ -30,9 +33,10 @@ from repro.sharing.kernel import NUMPY_MAX_INNER, numpy_available, numpy_support
 P61 = (1 << 61) - 1  # the IT/Turbopack evaluators' Mersenne prime
 P63 = (1 << 63) - 25  # largest prime below 2**63: exactly at the cutover
 P127 = (1 << 127) - 1  # above the cutover: must resolve to int
+P256 = (1 << 256) - 189  # a core-width modulus: int kernel only
 PSMALL = 10**6 + 3
 
-MODULI = [P61, P63, P127, PSMALL]
+MODULI = [P61, P63, P127, P256, PSMALL]
 
 #: (n, k) including k=1, n<2k−1, and the degenerate single-degree n=k.
 GEOMETRIES = [(11, 5), (9, 2), (5, 1), (4, 3), (7, 7)]
@@ -60,8 +64,13 @@ def sample_case(n: int, k: int, modulus: int, seed: int):
     return degrees, vectors
 
 
-def as_values(sharings):
-    return [[(s.index, int(s.value), s.degree, s.k) for s in sh] for sh in sharings]
+def unboxed(sharings):
+    """Single-sharing API results as the rows the batched API trades in."""
+    return [[int(s.value) for s in sharing] for sharing in sharings]
+
+
+def pairs(sharing):
+    return [(s.index, int(s.value)) for s in sharing]
 
 
 @settings(max_examples=40, deadline=None)
@@ -83,7 +92,7 @@ def test_share_many_matches_legacy(geom, modulus, seed):
         rng_batched = random.Random(seed ^ 0x5EED)
         with mode():
             got = scheme.share_many(vectors, degree=degrees, rng=rng_batched)
-        assert as_values(got) == as_values(expected)
+        assert got == unboxed(expected)
         # Same values is not enough: the batched path must consume the
         # RNG stream identically, or every downstream draw diverges.
         assert rng_batched.getstate() == rng_loop.getstate()
@@ -107,8 +116,8 @@ def test_canonical_many_matches_legacy(geom, modulus, seed):
         with mode():
             got_full = scheme.canonical_many(vectors)
             got_one = scheme.canonical_many(vectors, index=index)
-        assert as_values(got_full) == as_values(expected_full)
-        assert as_values([got_one]) == as_values([expected_one])
+        assert got_full == unboxed(expected_full)
+        assert got_one == [int(s.value) for s in expected_one]
 
 
 @settings(max_examples=40, deadline=None)
@@ -128,8 +137,46 @@ def test_reconstruct_many_matches_legacy(geom, modulus, seed):
     assert expected == [[v % modulus for v in vec] for vec in vectors]
     for mode in BACKEND_MODES:
         with mode():
-            got = scheme.reconstruct_many(sharings)
-        assert [[int(v) for v in row] for row in got] == expected
+            # Rows carry no degree tag: one call per degree.
+            got = [
+                scheme.reconstruct_many([pairs(s)], d)[0]
+                for s, d in zip(sharings, degrees)
+            ]
+        assert got == expected
+
+
+@pytest.mark.parametrize("modulus", [P61, P256], ids=["numpy-61", "int-256"])
+def test_rows_of_interleaved_degrees(modulus):
+    """The IT committees' shape: degrees d, d, 2d interleaved in one call."""
+    n, k, d = 11, 5, 5
+    scheme = PackedShamirScheme(Zmod(modulus), n, k)
+    assert resolve_backend(modulus, n) == (
+        "numpy" if modulus == P61 and numpy_available() else "int"
+    )
+    src = random.Random(16)
+    degrees = [d, d, 2 * d] * 4
+    vectors = [[src.randrange(modulus) for _ in range(k)] for _ in degrees]
+    rng_loop, rng_batched = random.Random(7), random.Random(7)
+    expected = unboxed(
+        scheme.share(v, degree=deg, rng=rng_loop) for v, deg in zip(vectors, degrees)
+    )
+    rows = scheme.share_many(vectors, degree=degrees, rng=rng_batched)
+    assert rows == expected
+    assert all(type(v) is int for row in rows for v in row)
+    assert rng_batched.getstate() == rng_loop.getstate()
+    for deg in (d, 2 * d):
+        picked = [r for r, x in zip(rows, degrees) if x == deg]
+        opened = scheme.reconstruct_many(
+            [list(enumerate(row, start=1)) for row in picked], deg
+        )
+        assert opened == [
+            [v % modulus for v in vec]
+            for vec, x in zip(vectors, degrees) if x == deg
+        ]
+    index = 4
+    assert scheme.canonical_many(vectors, index=index) == [
+        int(scheme.canonical_share_for(v, index).value) for v in vectors
+    ]
 
 
 @settings(max_examples=25, deadline=None)
@@ -182,33 +229,52 @@ class TestBackendSelection:
 
 
 class TestBatchedErrors:
-    def test_conflicting_duplicate_detected(self, rng):
-        scheme = PackedShamirScheme(Zmod(P61), 8, 2, default_degree=3)
-        [sharing] = scheme.share_many([[1, 2]], rng=rng)
-        forged = sharing + [
-            type(sharing[0])(
-                sharing[0].index,
-                sharing[0].value + Zmod(P61)(1),
-                sharing[0].degree,
-                2,
-            )
-        ]
-        with pytest.raises(ReconstructionError, match="conflicting"):
-            scheme.reconstruct_many([forged])
+    """Bad rows raise what :meth:`reconstruct` raises on the same shares."""
 
-    def test_redundant_share_checked(self, rng):
+    @staticmethod
+    def single_path_message(scheme, shares):
+        with pytest.raises(ReconstructionError) as caught:
+            scheme.reconstruct(shares)
+        return str(caught.value)
+
+    @pytest.fixture
+    def dealt(self, rng):
         scheme = PackedShamirScheme(Zmod(P61), 8, 2, default_degree=3)
-        [sharing] = scheme.share_many([[5, 6]], rng=rng)
-        bad_last = sharing[:-1] + [
-            type(sharing[-1])(
-                sharing[-1].index,
-                sharing[-1].value + Zmod(P61)(1),
-                sharing[-1].degree,
-                2,
-            )
-        ]
-        with pytest.raises(ReconstructionError, match="inconsistent"):
-            scheme.reconstruct_many([bad_last])
+        return scheme, scheme.share([5, 6], rng=rng)
+
+    @staticmethod
+    def bumped(share):
+        return PackedShare(share.index, share.value + 1, share.degree, share.k)
+
+    def test_conflicting_duplicate_detected(self, dealt):
+        scheme, sharing = dealt
+        forged = sharing + [self.bumped(sharing[0])]
+        message = self.single_path_message(scheme, forged)
+        assert message == "conflicting shares for party 1"
+        with pytest.raises(ReconstructionError) as caught:
+            scheme.reconstruct_many([pairs(forged)], 3)
+        assert str(caught.value) == message
+
+    def test_redundant_share_checked(self, dealt):
+        scheme, sharing = dealt
+        bad_last = sharing[:-1] + [self.bumped(sharing[-1])]
+        message = self.single_path_message(scheme, bad_last)
+        assert message == "share of party 8 inconsistent with the others"
+        with pytest.raises(ReconstructionError) as caught:
+            scheme.reconstruct_many([pairs(bad_last)], 3)
+        assert str(caught.value) == message
+
+    def test_short_sharing_rejected(self, dealt):
+        scheme, sharing = dealt
+        # A duplicate does not count towards the degree+1 shares needed.
+        short = sharing[:3] + sharing[:1]
+        message = self.single_path_message(scheme, short)
+        assert message == "need 4 shares for degree 3, got 3"
+        with pytest.raises(ReconstructionError) as caught:
+            scheme.reconstruct_many([pairs(short)], 3)
+        assert str(caught.value) == message
+        with pytest.raises(ReconstructionError, match="no shares supplied"):
+            scheme.reconstruct_many([[]], 3)
 
     def test_degree_list_length_checked(self, rng):
         scheme = PackedShamirScheme(Zmod(P61), 8, 2)
@@ -241,10 +307,10 @@ class TestMatrixCaches:
         assert len(rows_a) == 8 and len(rows_b) == 9
         # Both geometries still round-trip correctly.
         for scheme in (a, b):
-            [sharing] = scheme.share_many([[7, 8, 9]], rng=rng)
-            assert [
-                int(v) for v in scheme.reconstruct_many([sharing])[0]
-            ] == [7, 8, 9]
+            [row] = scheme.share_many([[7, 8, 9]], rng=rng)
+            assert scheme.reconstruct_many(
+                [list(enumerate(row, start=1))], scheme.default_degree
+            ) == [[7, 8, 9]]
 
     def test_packed_scheme_memoizes_per_geometry(self):
         ring = Zmod(P61)

@@ -161,7 +161,8 @@ class TestRobustReconstruct:
         doubled = sharing + sharing[:3]
         assert scheme.robust_reconstruct(doubled, max_errors=2) == F.elements([3, 4])
         assert scheme.reconstruct(doubled) == F.elements([3, 4])
-        assert scheme.reconstruct_many([doubled])[0] == F.elements([3, 4])
+        pairs = [(s.index, int(s.value)) for s in doubled]
+        assert scheme.reconstruct_many([pairs], d) == [[3, 4]]
 
     def test_duplicate_conflicting_share_rejected(self, rng):
         scheme = PackedShamirScheme(F, 9, 2, default_degree=3)
@@ -172,7 +173,9 @@ class TestRobustReconstruct:
         with pytest.raises(ReconstructionError, match="conflicting"):
             scheme.robust_reconstruct(forged, max_errors=2)
         with pytest.raises(ReconstructionError, match="conflicting"):
-            scheme.reconstruct_many([forged])
+            scheme.reconstruct_many(
+                [[(s.index, int(s.value)) for s in forged]], 3
+            )
 
 
 class TestPublicProductBoundary:

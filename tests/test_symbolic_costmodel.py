@@ -19,8 +19,14 @@ sympy = pytest.importorskip("sympy")
 from repro.accounting.symbolic import (
     PARAM_SYMBOL_NAMES,
     RUN_SYMBOL_NAMES,
+    CostExactnessError,
+    _SizeCtx,
+    _Space,
+    _space_for,
     envelope_formula,
     formula_catalog,
+    measure_post,
+    resolve_spec,
     spec_variants,
     sym,
     verify_cost_exactness,
@@ -33,11 +39,29 @@ from repro.core.protocol import YosoMpc
 from repro.extensions import ItYosoMpc
 
 
+def _formula_bytes_by_variant(result):
+    """Per-variant formula totals, evaluated here and not by the checker:
+    ``envelope_formula(...).subs(parameters ∪ bindings)`` per envelope."""
+    space = _space_for(result)
+    totals = {}
+    for post in result.bulletin:
+        m = measure_post(post, space)
+        expr = envelope_formula(m.kind, m.variant, robust=space.robust)
+        value = expr.subs(
+            {sym(k): v for k, v in {**space.params(), **m.bindings}.items()}
+        )
+        totals[m.variant] = totals.get(m.variant, 0) + int(value)
+    return totals
+
+
 def _assert_exact(result):
     """The contract: every envelope on the board formula-exact."""
     report = verify_cost_exactness(result)
     assert report.envelopes == len(result.bulletin)
+    independent = _formula_bytes_by_variant(result)
+    assert set(independent) == {tot.variant for tot in report.totals}
     for tot in report.totals:
+        assert tot.formula_bytes == independent[tot.variant]
         assert tot.measured_bytes == tot.formula_bytes
     return report
 
@@ -146,6 +170,64 @@ class TestBaselines:
         assert {t.kind for t in report.totals} == {"it.messages"}
 
 
+class TestChecksStillFire:
+    """A board that is not what its posts declare is refused, share
+    vectors (the ``ints`` leaf) included."""
+
+    @pytest.fixture
+    def it_result(self):
+        return ItYosoMpc(n=9, t=2, k=2, rng=random.Random(1)).run(
+            dot_product_circuit(4), {"alice": [1, 2, 3, 4], "bob": [5, 6, 7, 8]}
+        )
+
+    @staticmethod
+    def _first_vector(result, tag, section):
+        post = next(p for p in result.bulletin if p.tag == tag)
+        return post, next(iter(post.payload[section].values()))
+
+    def test_mutated_share_value(self, it_result):
+        # A decoded share that is not the one on the wire: the walked
+        # bytes no longer add up to the envelope body.
+        _, vector = self._first_vector(it_result, "It-P1", "deals")
+        assert vector[0].bit_length() > 8
+        vector[0] = 1
+        with pytest.raises(CostExactnessError, match="stale"):
+            verify_cost_exactness(it_result)
+
+    def test_wrong_length_share_vector(self, it_result):
+        _, vector = self._first_vector(it_result, "It-P2", "transfers")
+        vector.append(0)
+        with pytest.raises(AssertionError, match="expected 9 items"):
+            verify_cost_exactness(it_result)
+
+    def test_stale_shape(self, it_result):
+        # A bool where the shape declares an int: one wire byte, priced as
+        # an int — the body-length comparison refuses it.
+        _, vector = self._first_vector(it_result, "It-P1", "deals")
+        vector[0] = True
+        with pytest.raises(CostExactnessError, match="stale"):
+            verify_cost_exactness(it_result)
+
+    def test_misreported_delivery(self, it_result):
+        post, _ = self._first_vector(it_result, "It-P2", "transfers")
+        post.n_bytes -= 1
+        with pytest.raises(CostExactnessError, match="walked"):
+            verify_cost_exactness(it_result)
+
+    def test_start_skips_only_checked_posts(self, it_result):
+        board = it_result.bulletin
+        full = verify_cost_exactness(it_result)
+        space = _space_for(it_result)
+        tail = verify_cost_exactness(bulletin=board, space=space, start=5)
+        assert tail.envelopes == full.envelopes - 5
+        list(board)[5].n_bytes += 1
+        with pytest.raises(CostExactnessError, match="walked"):
+            verify_cost_exactness(bulletin=board, space=space, start=5)
+        assert verify_cost_exactness(
+            bulletin=board, space=space, start=6
+        ).envelopes == full.envelopes - 6
+
+
 class TestAlwaysOnHook:
     def test_honest_run_self_checks(self, monkeypatch):
         """The post-run hook fires on honest runs and respects the env gate."""
@@ -187,3 +269,29 @@ class TestFormulas:
         """S is a pure correction: each formula is (structural nominal) − S."""
         for variant, expr in formula_catalog().items():
             assert expr.coeff(sym("S")) == -1, variant
+
+    def test_ints_leaf_leaves_every_formula_unchanged(self):
+        """``ints`` is ``repeat`` over a bare ``intv``: pricing the vector
+        leaves leaf by leaf gives the identical expression per variant."""
+
+        class LeafByLeaf(_SizeCtx):
+            def ints(self, values, count, bits):
+                return self.repeat(values, count, lambda v: self.intv(v, bits))
+
+        for robust in (False, True):
+            for spec in spec_variants():
+                space = _Space(symbolic=True, robust=robust)
+                assert spec.builder(_SizeCtx(space), None) == spec.builder(
+                    LeafByLeaf(space), None
+                ), spec.variant
+        # ... and walks a live board to the same byte counts.
+        result = ItYosoMpc(n=9, t=2, k=2, rng=random.Random(1)).run(
+            dot_product_circuit(4), {"alice": [1, 2, 3, 4], "bob": [5, 6, 7, 8]}
+        )
+        space = _space_for(result)
+        for post in result.bulletin:
+            walks = [ctx(space) for ctx in (_SizeCtx, LeafByLeaf)]
+            builder = resolve_spec(post.kind, post.tag).builder
+            nominals = [builder(ctx, post.payload) for ctx in walks]
+            assert nominals[0] == nominals[1]
+            assert walks[0].actual == walks[1].actual == len(post.envelope().body)

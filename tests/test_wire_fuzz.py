@@ -28,7 +28,7 @@ from repro.wire import (
     encode_envelope,
     kind_for_tag,
 )
-from repro.wire.codec import read_varint, write_varint
+from repro.wire.codec import TAG_LIST, TAG_TUPLE, read_varint, write_varint
 
 try:
     from hypothesis import given, settings
@@ -145,6 +145,37 @@ class TestCodecFuzz:
             assert decoded == value
             # Canonical: re-encoding the decode is byte-identical.
             assert codec.encode(decoded) == encoded
+
+    def test_int_vectors_roundtrip_and_truncate_loudly(self, codec):
+        # The share-vector shape: runs of ints inside lists and tuples,
+        # widths straddling the one-byte-length boundary (127 | 128 bytes),
+        # with the values the inline path must hand on mixed in.
+        rng = random.Random(SEED + 3)
+        widths = [1, 7, 8, 61, 64, 256, 1009, 1016, 1017, 1024, 2048]
+        for _ in range(60):
+            items = []
+            for _ in range(rng.randint(0, 12)):
+                roll = rng.random()
+                if roll < 0.7:
+                    magnitude = rng.getrandbits(rng.choice(widths))
+                    items.append(magnitude if rng.random() < 0.7 else -magnitude)
+                elif roll < 0.8:
+                    items.append(rng.random() < 0.5)
+                elif roll < 0.9:
+                    items.append([rng.getrandbits(61), (0, -1)])
+                else:
+                    items.append(None)
+            value = items if rng.random() < 0.5 else tuple(items)
+            encoded = codec.encode(value)
+            # The reference: every element encoded on its own.
+            header = bytearray([TAG_LIST if type(value) is list else TAG_TUPLE])
+            write_varint(header, len(value))
+            assert encoded == bytes(header) + b"".join(map(codec.encode, value))
+            decoded = codec.decode(encoded)
+            assert repr(decoded) == repr(value)
+            for cut in range(len(encoded)):
+                with pytest.raises(WireDecodeError):
+                    codec.decode(encoded[:cut])
 
     def test_every_truncation_rejected(self, codec, keypair):
         rng = random.Random(SEED + 1)

@@ -44,8 +44,11 @@ from repro.wire import (
 from repro.wire.codec import (
     TAG_BYTES,
     TAG_DICT,
+    TAG_INT_NEG,
     TAG_INT_POS,
+    TAG_LIST,
     TAG_OBJECT,
+    TAG_TUPLE,
     write_varint,
 )
 
@@ -122,6 +125,74 @@ class TestScalarRoundTrip:
         assert codec.decode(codec.encode(True)) is True
         assert codec.decode(codec.encode(1)) == 1
         assert codec.encode(True) != codec.encode(1)
+
+
+M61 = (1 << 61) - 1
+
+
+class TestIntVectorBytes:
+    """Ints inside lists and tuples are written and read inline; the bytes
+    are the ones the element-by-element encoder produced (pinned from it)."""
+
+    PINNED = [
+        (
+            [0, -1, True, False, M61 - 1, -(1 << 60), 255, 256,
+             [3, [0, -7], (True, 1)], None, "s"],
+            "080b03050101020104081ffffffffffffffe05081000000000000000"
+            "0401ff04020100080304010308020305010709020204010100070173",
+        ),
+        (
+            (M61, 0, -M61, False, 1, (), [-128], b"\x01"),
+            "090804081fffffffffffffff0305081fffffffffffffff010401010900"
+            "0801050180060101",
+        ),
+    ]
+
+    @pytest.mark.parametrize("value,pinned", PINNED, ids=["list", "tuple"])
+    def test_mixed_container_bytes_pinned(self, codec, value, pinned):
+        encoded = codec.encode(value)
+        assert encoded.hex() == pinned
+        decoded = codec.decode(encoded)
+        assert decoded == value
+        # == cannot tell True from 1: the types must survive too.
+        assert repr(decoded) == repr(value)
+
+    def test_length_byte_boundary_pinned(self, codec):
+        # 1016-bit magnitudes (127 bytes) are the widest with a one-byte
+        # length; 1024-bit ones carry a two-byte varint and take the
+        # general path.  Both sides of the boundary, both signs.
+        value = [1 << 1015, -(1 << 1015), 1 << 1023, [-(1 << 1023)]]
+        pinned = (
+            bytes.fromhex("0804" "047f80") + bytes(126)
+            + bytes.fromhex("057f80") + bytes(126)
+            + bytes.fromhex("04800180") + bytes(127)
+            + bytes.fromhex("0801" "05800180") + bytes(127)
+        )
+        assert codec.encode(value) == pinned
+        assert codec.decode(pinned) == value
+
+    @pytest.mark.parametrize("container", [TAG_LIST, TAG_TUPLE])
+    @pytest.mark.parametrize("sign", [TAG_INT_POS, TAG_INT_NEG])
+    @pytest.mark.parametrize(
+        "element,reason",
+        [
+            (b"\x02\x00\x01", "non-minimal integer encoding"),  # leading zero
+            (b"\x00", "non-minimal integer encoding"),          # zero length
+            (b"\x03\x01\x02", "truncated integer"),            # cut mid-element
+            (b"", "truncated varint"),                          # no length byte
+        ],
+    )
+    def test_bad_int_element_rejected_like_a_top_level_int(
+        self, codec, container, sign, element, reason
+    ):
+        bad_int = bytes([sign]) + element
+        with pytest.raises(WireDecodeError) as top_level:
+            codec.decode(bad_int)
+        assert str(top_level.value) == reason
+        # Second of two elements, so the inline path is already running.
+        with pytest.raises(WireDecodeError) as in_container:
+            codec.decode(bytes([container, 2]) + codec.encode(7) + bad_int)
+        assert str(in_container.value) == reason
 
 
 class TestCiphertextRoundTrip:
