@@ -29,6 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 from repro.core.resharing import Handoff, build_resharing
 from repro.engine.batch import partial_decrypt_many
@@ -38,8 +39,8 @@ from repro.paillier.paillier import PaillierKeyPair, _keypair_from_primes
 from repro.paillier.primes import random_prime
 from repro.paillier.threshold import ThresholdPaillier
 from repro.rng import fresh_rng
-from repro.service.ingest import EpochLedger
 from repro.service.wire import (
+    ClientInput,
     EpochAnnouncement,
     EpochResult,
     epoch_tag,
@@ -214,7 +215,7 @@ class EpochCoordinator:
             )
         member.crashed = True
 
-    def evaluate(self, ledger: EpochLedger, seed: int | None = None):
+    def evaluate(self, accepted: Sequence[ClientInput], seed: int | None = None):
         """Aggregate, threshold-decrypt, run the committee MPC, publish.
 
         Returns ``(EpochResult, inner MpcResult)``; the result is also
@@ -223,7 +224,6 @@ class EpochCoordinator:
         from repro.core import run_mpc
 
         self._require(EpochState.SEALED)
-        accepted = list(ledger.accepted.values())
         if not accepted:
             raise ServiceError(
                 f"epoch {self.epoch} sealed with no accepted submissions"

@@ -61,10 +61,12 @@ class Rejection:
 
 @dataclass
 class EpochLedger:
-    """The per-epoch record of what got in and what was turned away."""
+    """The per-epoch record of who got in and what was turned away: ids,
+    not submissions — the service keeps every ledger, the decoded inputs
+    go with the epoch's :class:`IngestPipeline` at close."""
 
     epoch: int
-    accepted: dict[str, ClientInput] = field(default_factory=dict)
+    accepted: set[str] = field(default_factory=set)
     rejections: list[Rejection] = field(default_factory=list)
 
     @property
@@ -129,6 +131,8 @@ class IngestPipeline:
         )
         self.engine = engine
         self.phase = phase
+        #: Every accepted submission of the epoch, in acceptance order.
+        self.payloads: list[ClientInput] = []
 
     # -- the validation ladder ------------------------------------------------
 
@@ -219,7 +223,8 @@ class IngestPipeline:
                     ),
                 )
                 continue
-            self.ledger.accepted[payload.client_id] = payload
+            self.ledger.accepted.add(payload.client_id)
+            self.payloads.append(payload)
             self.board.post(
                 self.phase,
                 payload.client_id,

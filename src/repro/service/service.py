@@ -150,6 +150,11 @@ class MpcService:
             raise ServiceError(f"no ledger for epoch {epoch}")
         return self.ledgers[epoch]
 
+    def _open_pipeline(self) -> IngestPipeline:
+        if self._pipeline is None:
+            raise ServiceError("no open epoch; call open_epoch() first")
+        return self._pipeline
+
     def close(self) -> None:
         if self._owns_transport:
             self.board.transport.close()
@@ -178,25 +183,21 @@ class MpcService:
 
     def submit(self, item: ClientInput | bytes) -> None:
         """Enqueue one submission; raises ``ServiceOverloaded`` when full."""
-        if self._pipeline is None:
-            raise ServiceError("no open epoch; call open_epoch() first")
+        self._open_pipeline()
         self.queue.submit(item)
 
     def ingest(self) -> int:
         """Drain and validate everything queued; returns accepted count."""
-        if self._pipeline is None:
-            raise ServiceError("no open epoch; call open_epoch() first")
+        pipeline = self._open_pipeline()
         pending = len(self.queue)
         started = time.perf_counter()  # repro-lint: disable=DET002 -- ingest-rate metric
-        accepted = self._pipeline.drain(self.queue, self.config.batch_size)
+        accepted = pipeline.drain(self.queue, self.config.batch_size)
         # repro-lint: disable=DET002 -- ingest-rate metric, never on the wire
         self._ingest_seconds += time.perf_counter() - started
         self._ingest_processed += pending
         return accepted
 
-    def close_epoch(
-        self, *, crash: int | None = None, seed: int | None = None
-    ) -> EpochSummary:
+    def close_epoch(self, *, crash: int | None = None, seed: int | None = None) -> EpochSummary:
         """Seal, evaluate, publish, and reshare the current epoch.
 
         ``crash`` fail-stops that committee member before evaluation: it
@@ -204,6 +205,7 @@ class MpcService:
         """
         coordinator = self.coordinator
         epoch = self.epoch
+        pipeline = self._open_pipeline()
         self.ingest()
         ledger = self.ledger(epoch)
         coordinator.seal()
@@ -211,7 +213,7 @@ class MpcService:
             coordinator.crash(crash)
 
         started = time.perf_counter()  # repro-lint: disable=DET002 -- phase timing metric
-        result, inner = coordinator.evaluate(ledger, seed=seed)
+        result, inner = coordinator.evaluate(pipeline.payloads, seed=seed)
         # repro-lint: disable=DET002 -- phase timing metric, never on the wire
         evaluate_seconds = time.perf_counter() - started
 
@@ -231,9 +233,7 @@ class MpcService:
             population=ledger.population,
             rejections=ledger.rejection_counts(),
             result=result,
-            decoded=self.workload.decode_outputs(
-                result.outputs, ledger.population
-            ),
+            decoded=self.workload.decode_outputs(result.outputs, ledger.population),
             contributors=result.contributors,
             reshare_contributors=tuple(reshare_contributors),
             ingest_seconds=self._ingest_seconds,

@@ -10,7 +10,9 @@ submission shape, checking each is rejected with its own error type and
 never reaches evaluation.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -205,6 +207,29 @@ def test_epoch_cost_reports_partition_the_board():
         inputs = [p for p in svc.board if p.tag.startswith("svc-input:")]
         assert len(inputs) == 15 and not any(p._decoded for p in inputs)
         assert inputs[0].peek() == inputs[0].payload and inputs[0]._decoded
+
+
+def test_closed_epoch_keeps_ids_not_submissions():
+    """A service that lives for many epochs must not hold every decoded
+    submission: after the close, the ledger names who got in and the
+    board has their bytes."""
+    rng = random.Random(37)
+    with MpcService(workload="statistics", statistics_groups=2, seed=47) as svc:
+        announcement = svc.open_epoch()
+        submissions = [
+            ServiceClient(f"k-{i}", announcement, rng=rng).build_input(i)
+            for i in range(5)
+        ]
+        alive = [weakref.ref(item) for item in submissions]
+        for item in submissions:
+            svc.submit(item)
+        del submissions, item
+        summary = svc.close_epoch()
+        gc.collect()
+        assert not any(ref() is not None for ref in alive)
+        assert svc.ledger(summary.epoch).accepted == {f"k-{i}" for i in range(5)}
+        assert summary.population == 5
+        assert summary.decoded["sum"] == sum(range(5))
 
 
 @pytest.mark.skipif(not cost_check_enabled(), reason="cost check disabled")
