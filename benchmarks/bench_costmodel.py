@@ -19,13 +19,13 @@ from repro.sortition import analyze
 from conftest import print_banner
 
 
-def test_model_vs_measurement(benchmark, ours_sweep, sweep_circuit):
+def test_model_vs_measurement(benchmark, ours_sweep):
     def validate():
         rows = []
         for n, result in ours_sweep.items():
             model = SymbolicCostModel(
                 result.params,
-                CircuitShape.of(sweep_circuit, result.plan),
+                CircuitShape.of_program(result.program),
                 result.setup.proof_params,
             )
             for phase, predicted in (

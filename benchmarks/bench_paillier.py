@@ -8,7 +8,7 @@ so these micro numbers anchor the communication model.
 import random
 
 from repro.paillier import ThresholdPaillier
-from repro.paillier.threshold import recombine_with_epoch, teval
+from repro.paillier.threshold import teval
 
 RNG = random.Random(7)
 
@@ -53,7 +53,7 @@ def test_tkrec_speed(benchmark):
     msgs = {s.index: ThresholdPaillier.reshare(TPK, s, rng=RNG) for s in SHARES}
     cset = list(range(1, 5))
     contributions = {i: msgs[i].subshares[0] for i in cset}
-    benchmark(recombine_with_epoch, TPK, 1, contributions, 0, cset)
+    benchmark(ThresholdPaillier.recombine, TPK, 1, contributions, 0, cset)
 
 
 def test_simtpdec_speed(benchmark):

@@ -154,7 +154,7 @@ def report_from_mpc_result(result: MpcResult) -> dict[str, Any]:
             "inputs": result.circuit.n_inputs,
             "multiplications": result.circuit.n_multiplications,
             "outputs": result.circuit.n_outputs,
-            "batches": len(result.plan.mul_batches),
+            "batches": len(result.program.plan.mul_batches),
         },
         transport=result.transport,
         tracer=result.trace,

@@ -27,6 +27,11 @@ source of truth, two readings — a structural drift breaks the concrete
 walk immediately, which is what turns every metered run into a
 validation oracle (see docs/COSTMODEL.md).
 
+A formula is *evaluated* — by the check and by :class:`SymbolicCostModel`
+alike — through one callable compiled once per (variant, robust) from the
+expression's own tree into exact-integer Python; the expression stays
+the source of truth the catalog prints and the tests substitute into.
+
 Symbol glossary (run-bound symbols are bound per envelope):
 
 ========  ====================================================================
@@ -50,8 +55,6 @@ Symbol glossary (run-bound symbols are bound per envelope):
 
 from __future__ import annotations
 
-import importlib.util
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields as dc_fields, is_dataclass
 from itertools import islice
@@ -74,11 +77,10 @@ from repro.wire.sizes import (
     str_wire_len,
     varint_len,
     vlen,
+    vlen_function,
 )
 
 if TYPE_CHECKING:
-    from repro.circuits.circuit import Circuit
-    from repro.circuits.layering import BatchPlan
     from repro.circuits.program import CircuitProgram
 
 __all__ = [
@@ -93,9 +95,6 @@ __all__ = [
     "extrapolated_mu_bytes_per_gate",
     "formula_catalog",
     "measure_post",
-    "space_for_cdn",
-    "space_for_it",
-    "space_for_result",
     "space_for_service",
     "sym",
     "verify_cost_exactness",
@@ -222,9 +221,10 @@ class _SizeCtx:
         still in ``actual``) without the per-leaf calls."""
         if self._live():
             assert values is not None, "live walk reached an absent sequence"
-            assert len(values) == int(count), (
-                f"expected {count} items, payload has {len(values)}"
-            )
+            if len(values) != int(count):
+                raise CostExactnessError(
+                    f"expected {count} items, payload has {len(values)}"
+                )
             self.actual += sum(map(int_wire_len, values))
         return count * int_nominal(bits)
 
@@ -288,7 +288,10 @@ class _SizeCtx:
             assert keys is not None
             for key in keys:
                 raw = len(key.encode("utf-8"))
-                assert raw < 128, f"key {key!r} exceeds one-byte varint range"
+                if raw >= 128:
+                    raise CostExactnessError(
+                        f"key {key!r} exceeds one-byte varint range"
+                    )
                 self._acc(1 + 1 + raw)
         return 2 * count + total_len
 
@@ -302,8 +305,8 @@ class _SizeCtx:
         """``count`` structurally identical items: walks each, prices one."""
         if self._live():
             assert items is not None, "live walk reached an absent sequence"
-            if strict:
-                assert len(items) == int(count), (
+            if strict and len(items) != int(count):
+                raise CostExactnessError(
                     f"expected {count} items, payload has {len(items)}"
                 )
             for item in items:
@@ -1076,7 +1079,10 @@ def spec_variants(kind: str | None = None) -> tuple[EnvelopeSpec, ...]:
 
 # -- formulas -----------------------------------------------------------------
 
-_FORMULA_CACHE: dict[tuple[str, bool], Any] = {}
+#: An evaluator compiled from a formula: symbol values (ints) -> bytes.
+Evaluator = Callable[[dict[str, int]], int]
+
+_FORMULA_CACHE: dict[tuple[str, bool], tuple[Any, Evaluator]] = {}
 
 
 def envelope_formula(
@@ -1085,8 +1091,8 @@ def envelope_formula(
     """The closed-form envelope size of a kind (sympy expression).
 
     The expression covers body and framing and subtracts the slack
-    symbol ``S``; substituting the glossary symbols *and* the envelope's
-    run bindings yields the delivered byte count exactly.
+    symbol ``S``; evaluated at the glossary symbols *and* the envelope's
+    run bindings it yields the delivered byte count exactly.
     """
     specs = spec_variants(kind)
     if variant is None:
@@ -1095,20 +1101,19 @@ def envelope_formula(
                 f"kind {kind!r} has variants "
                 f"{tuple(s.variant for s in specs)}; pick one"
             )
-        spec = specs[0]
-    else:
-        matching = [s for s in specs if s.variant == variant]
-        if not matching:
-            raise CostExactnessError(
-                f"kind {kind!r} has no variant {variant!r}"
-            )
-        spec = matching[0]
-    return _formula_for(spec, robust)
+        variant = specs[0].variant
+    elif not any(s.variant == variant for s in specs):
+        raise CostExactnessError(f"kind {kind!r} has no variant {variant!r}")
+    return _formula_for(variant, robust)[0]
 
 
-def _formula_for(spec: EnvelopeSpec, robust: bool) -> Any:
-    key = (spec.variant, robust)
+def _formula_for(variant: str, robust: bool) -> tuple[Any, Evaluator]:
+    """A variant's closed form and the evaluator compiled from it — from
+    the expression object the catalog prints, not from a second reading
+    of the builder."""
+    key = (variant, robust)
     if key not in _FORMULA_CACHE:
+        spec = next(s for s in _SPECS if s.variant == variant)
         wire_kind = kind_by_name(spec.kind)
         ctx = _SizeCtx(_Space(symbolic=True, robust=robust))
         body = spec.builder(ctx, None)
@@ -1116,13 +1121,63 @@ def _formula_for(spec: EnvelopeSpec, robust: bool) -> Any:
             wire_kind.kind_id, wire_kind.version, sym("R"),
             sym("Ls"), sym("Lp"), sym("Lt"), body,
         )
-        _FORMULA_CACHE[key] = body + framing - sym("S")
+        expr = body + framing - sym("S")
+        _FORMULA_CACHE[key] = (expr, _compile_formula(expr, variant))
     return _FORMULA_CACHE[key]
+
+
+def _compile_formula(expr: Any, variant: str) -> Evaluator:
+    """``expr`` as one Python expression over exact ints.
+
+    Every node kind the builders emit has an integer reading:
+    ``ceiling(p/q)`` is ``-(-p // q)`` and ``Vlen`` is ``varint_len``;
+    no float enters.  Any other node is refused here, at compile time.
+    """
+    import sympy
+
+    vlen_type = vlen_function()
+
+    def source(node: Any) -> str:
+        if node.is_Symbol:
+            return f"v[{node.name!r}]"
+        if node.is_Integer:
+            return f"({int(node)})"
+        if node.is_Add:
+            return "(" + " + ".join(map(source, node.args)) + ")"
+        if node.is_Mul:
+            return "(" + " * ".join(map(source, node.args)) + ")"
+        if node.is_Pow and node.exp.is_Integer and node.exp >= 0:
+            return f"({source(node.base)} ** {int(node.exp)})"
+        if isinstance(node, vlen_type):
+            return f"varint_len({source(node.args[0])})"
+        if isinstance(node, sympy.ceiling):
+            p, q = sympy.fraction(sympy.together(node.args[0]))
+            return f"(-(-{source(p)} // {source(q)}))"
+        raise CostExactnessError(
+            f"{variant}: formula node {node} ({type(node).__name__}) has "
+            f"no exact-integer reading"
+        )
+
+    compiled = eval(  # the source is built above, from glossary symbols only
+        f"lambda v: {source(expr)}", {"varint_len": varint_len}
+    )
+
+    def evaluate(values: dict[str, int]) -> int:
+        try:
+            n_bytes: int = compiled(values)
+        except KeyError as exc:
+            raise CostExactnessError(
+                f"{variant}: formula symbol {exc.args[0]!r} has no value — "
+                f"a parameter or binding is missing"
+            ) from None
+        return n_bytes
+
+    return evaluate
 
 
 def formula_catalog(robust: bool = False) -> dict[str, Any]:
     """``variant -> formula`` for every registered payload shape."""
-    return {s.variant: _formula_for(s, robust) for s in _SPECS}
+    return {s.variant: _formula_for(s.variant, robust)[0] for s in _SPECS}
 
 
 # -- measurement and verification ---------------------------------------------
@@ -1148,9 +1203,9 @@ def measure_post(post: Any, space: _Space) -> EnvelopeMeasurement:
     """Walk one board post and re-derive its size both ways."""
     spec = resolve_spec(post.kind, post.tag)
     wire_kind = kind_by_name(post.kind)
-    envelope = post.envelope()
+    envelope, payload = post.peek()
     ctx = _SizeCtx(space)
-    body_nominal = spec.builder(ctx, post.peek())
+    body_nominal = spec.builder(ctx, payload)
     if ctx.actual != len(envelope.body):
         raise CostExactnessError(
             f"{spec.variant} ({post.tag!r} from {post.sender}): structural "
@@ -1215,49 +1270,6 @@ class ExactnessReport:
         return "\n".join(lines)
 
 
-_SUBS_CACHE: dict[tuple, int] = {}
-_SUBS_CACHE_MAX = 4096
-
-
-def _subs_formula(measurement: EnvelopeMeasurement, space: _Space) -> int:
-    """Evaluate the variant formula at the measurement's bindings.
-
-    Memoized on everything but the slack: ``S`` enters every formula with
-    coefficient exactly −1 (a tested invariant), so the expensive sympy
-    substitution runs once per distinct structural shape and a board of
-    10^5 same-shaped client envelopes verifies in plain-integer time.
-    """
-    spec = resolve_spec(measurement.kind, measurement.tag)
-    slack = measurement.bindings["S"]
-    key = (
-        spec.variant,
-        space.robust,
-        tuple(sorted(space.params().items())),
-        tuple(sorted(
-            (k, v) for k, v in measurement.bindings.items() if k != "S"
-        )),
-    )
-    base = _SUBS_CACHE.get(key)
-    if base is None:
-        expr = _formula_for(spec, space.robust)
-        table = {}
-        for name, value in space.params().items():
-            table[sym(name)] = value
-        for name, value in measurement.bindings.items():
-            table[sym(name)] = value
-        table[sym("S")] = 0
-        value = expr.subs(table)
-        if not getattr(value, "is_Integer", False):
-            raise CostExactnessError(
-                f"{measurement.variant}: formula did not reduce to an integer "
-                f"(free symbols {value.free_symbols}) — a binding is missing"
-            )
-        if len(_SUBS_CACHE) >= _SUBS_CACHE_MAX:
-            _SUBS_CACHE.clear()
-        base = _SUBS_CACHE[key] = int(value)
-    return base - slack
-
-
 def verify_cost_exactness(
     result: Any = None,
     *,
@@ -1285,7 +1297,9 @@ def verify_cost_exactness(
     if bulletin is None or space is None:
         raise CostExactnessError("need a result, or a bulletin and a space")
 
-    sums: dict[str, KindTotal] = {}
+    parameters = space.params()
+    # (variant, kind) -> [envelopes, measured, formula, slack] bytes
+    sums: dict[tuple[str, str], list[int]] = {}
     for post in islice(bulletin, start, None):
         m = measure_post(post, space)
         if m.actual != m.measured:
@@ -1293,21 +1307,25 @@ def verify_cost_exactness(
                 f"{m.variant} ({m.tag!r} from {m.sender}): walked "
                 f"{m.actual} bytes, delivered {m.measured}"
             )
-        expected = _subs_formula(m, space)
+        # S is bound to the measured slack, so the formula's value *is*
+        # the expected envelope length.
+        evaluate = _formula_for(m.variant, space.robust)[1]
+        expected = evaluate({**parameters, **m.bindings})
         if expected != m.measured:
             raise CostExactnessError(
                 f"{m.variant} ({m.tag!r} from {m.sender}): formula gives "
                 f"{expected} bytes, wire delivered {m.measured}"
             )
-        tot = sums.get(m.variant) or KindTotal(m.kind, m.variant, 0, 0, 0, 0)
-        sums[m.variant] = KindTotal(
-            m.kind, m.variant, tot.envelopes + 1,
-            measured_bytes=tot.measured_bytes + m.measured,
-            formula_bytes=tot.formula_bytes + expected,
-            slack_bytes=tot.slack_bytes + m.slack,
-        )
+        tot = sums.setdefault((m.variant, m.kind), [0, 0, 0, 0])
+        tot[0] += 1
+        tot[1] += m.measured
+        tot[2] += expected
+        tot[3] += m.slack
 
-    totals = tuple(sums[variant] for variant in sorted(sums))
+    totals = tuple(
+        KindTotal(kind, variant, *tot)
+        for (variant, kind), tot in sorted(sums.items())
+    )
     return ExactnessReport(
         envelopes=sum(t.envelopes for t in totals),
         total_measured=sum(t.measured_bytes for t in totals),
@@ -1315,28 +1333,14 @@ def verify_cost_exactness(
     )
 
 
-#: Probed once: the formulas need sympy, the exact helpers do not.
-_HAVE_SYMPY = importlib.util.find_spec("sympy") is not None
-
-
-def cost_check_enabled() -> bool:
-    """Whether the always-on post-run cross-check should fire.
-
-    Opt out with ``REPRO_COST_CHECK=0``; silently skipped when sympy is
-    not importable (the exact helpers never need it).
-    """
-    return _HAVE_SYMPY and os.environ.get("REPRO_COST_CHECK", "1") != "0"
-
-
 def check_run_costs(result: Any) -> None:
     """The evaluators' post-run tail: :func:`verify_cost_exactness` on an
-    honest run's board, unless opted out.
+    honest run's board.
 
     The checker is looked up on this module at call time: the benchmark
     harness and the tests wrap ``symbolic.verify_cost_exactness``.
     """
-    if cost_check_enabled():
-        verify_cost_exactness(result)
+    verify_cost_exactness(result)
 
 
 # -- parameter spaces ---------------------------------------------------------
@@ -1353,17 +1357,6 @@ class CircuitShape:
     n_input_clients: int
 
     @classmethod
-    def of(cls, circuit: Circuit, plan: BatchPlan) -> CircuitShape:
-        return cls(
-            n_inputs=circuit.n_inputs,
-            n_multiplications=circuit.n_multiplications,
-            n_outputs=circuit.n_outputs,
-            n_batches=len(plan.mul_batches),
-            n_depths=len({b.depth for b in plan.mul_batches}),
-            n_input_clients=len(circuit.input_clients()),
-        )
-
-    @classmethod
     def of_program(cls, program: CircuitProgram) -> CircuitShape:
         """Shape of a compiled program (no re-planning, no rescans)."""
         circuit = program.circuit
@@ -1377,22 +1370,29 @@ class CircuitShape:
         )
 
 
+def _core_parameters(
+    params: Any, shape: CircuitShape, proof_params: Any
+) -> dict[str, int]:
+    """Parameter-symbol values of a core-protocol configuration."""
+    return {
+        "n": params.n, "t": params.t, "k": params.k,
+        "te": params.te_bits, "rb": params.role_key_bits,
+        "ch": proof_params.challenge_bits,
+        "st": proof_params.statistical_bits,
+        "gates": shape.n_multiplications, "inputs": shape.n_inputs,
+        "outputs": shape.n_outputs, "batches": shape.n_batches,
+        "depths": shape.n_depths, "clients": shape.n_input_clients,
+    }
+
+
 def space_for_result(result: Any) -> _Space:
     """Concrete parameter space of a core-protocol :class:`MpcResult`."""
-    params = result.params
-    shape = CircuitShape.of(result.circuit, result.plan)
-    proof_params = result.setup.proof_params
     return _Space(
-        {
-            "n": params.n, "t": params.t, "k": params.k,
-            "te": params.te_bits, "rb": params.role_key_bits,
-            "ch": proof_params.challenge_bits,
-            "st": proof_params.statistical_bits,
-            "gates": shape.n_multiplications, "inputs": shape.n_inputs,
-            "outputs": shape.n_outputs, "batches": shape.n_batches,
-            "depths": shape.n_depths, "clients": shape.n_input_clients,
-        },
-        robust=params.robust_reconstruction,
+        _core_parameters(
+            result.params, CircuitShape.of_program(result.program),
+            result.setup.proof_params,
+        ),
+        robust=result.params.robust_reconstruction,
     )
 
 
@@ -1483,18 +1483,6 @@ class SymbolicCostModel:
 
     # -- symbol values -------------------------------------------------------
 
-    def parameter_values(self) -> dict[str, int]:
-        p, s = self.params, self.shape
-        return {
-            "n": p.n, "t": p.t, "k": p.k,
-            "te": p.te_bits, "rb": p.role_key_bits,
-            "ch": self.proof_params.challenge_bits,
-            "st": self.proof_params.statistical_bits,
-            "gates": s.n_multiplications, "inputs": s.n_inputs,
-            "outputs": s.n_outputs, "batches": s.n_batches,
-            "depths": s.n_depths, "clients": s.n_input_clients,
-        }
-
     def _tsk_share_bits(self) -> int:
         """Representative threshold-share width mid resharing chain."""
         import math
@@ -1550,22 +1538,13 @@ class SymbolicCostModel:
 
     def _eval(self, variant: str, **overrides: int) -> int:
         """One envelope's nominal bytes at the default bindings."""
-        spec = next(s for s in _SPECS if s.variant == variant)
         robust = getattr(self.params, "robust_reconstruction", False)
-        expr = _formula_for(spec, robust)
-        table: dict[Any, int] = {}
-        values = dict(self.parameter_values())
-        values.update(self.default_bindings())
-        values.update(overrides)
-        for name, value in values.items():
-            table[sym(name)] = int(value)
-        result = expr.subs(table)
-        if not getattr(result, "is_Integer", False):
-            raise CostExactnessError(
-                f"{variant}: prediction left free symbols "
-                f"{result.free_symbols}"
-            )
-        return int(result)
+        evaluate = _formula_for(variant, robust)[1]
+        return evaluate({
+            **_core_parameters(self.params, self.shape, self.proof_params),
+            **self.default_bindings(),
+            **overrides,
+        })
 
     def _committee_bytes(self, variant: str, tag: str, **overrides: int) -> int:
         """n members' envelopes, exact about per-member sender digits."""
@@ -1639,17 +1618,6 @@ class SymbolicCostModel:
                 Nb=base + (1 if d < extra else 0),
             )
         return total
-
-    def mu_entry_bytes(self) -> int:
-        """One batch's μ-share entry inside a mu_shares envelope."""
-        robust = getattr(self.params, "robust_reconstruction", False)
-        te = self.params.te_bits
-        entry = 3 + int_nominal(te) + str_wire_len("value") + seq_nominal(
-            2 if not robust else 1
-        )
-        if not robust:
-            entry += str_wire_len("proof") + bytes_nominal(_proof_token_bytes())
-        return int(entry)
 
     def online_mul_bytes_per_gate(self) -> float:
         """μ-share bytes per multiplication — entries *and* post framing,

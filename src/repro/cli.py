@@ -278,34 +278,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         f"  offline     {offline.get('paillier.encrypt', 0) / gates:8.1f} "
         f"Paillier encryptions/gate      — grows with n (§5.2)"
     )
-    if result.program is not None:
-        util = result.program.slot_utilization()
-        print(
-            f"  packing     {util:8.1%} slot utilization               "
-            f"— {len(result.program.plan.mul_batches)} batch(es) of k="
-            f"{result.params.k}"
-        )
+    util = result.program.slot_utilization()
+    print(
+        f"  packing     {util:8.1%} slot utilization               "
+        f"— {len(result.program.plan.mul_batches)} batch(es) of k="
+        f"{result.params.k}"
+    )
 
     if args.report:
         _write_report(result, args.report)
-    return 0
-
-
-def _cmd_extrapolate(args: argparse.Namespace) -> int:
-    from repro.accounting.symbolic import extrapolated_mu_bytes_per_gate
-
-    k = max(1, int(args.n * args.epsilon))
-    per_gate = extrapolated_mu_bytes_per_gate(
-        args.n, args.epsilon, k, args.te_bits
-    )
-    baseline = extrapolated_mu_bytes_per_gate(
-        args.n, args.epsilon, 1, args.te_bits
-    )
-    print(format_table(
-        ["n", "eps", "te bits", "ours B/gate", "eps=0 B/gate", "factor"],
-        [(args.n, args.epsilon, args.te_bits, round(per_gate),
-          round(baseline), round(baseline / per_gate))],
-    ))
     return 0
 
 
@@ -358,13 +339,19 @@ def _cost_extrapolate(args: argparse.Namespace) -> int:
     from repro.accounting.symbolic import extrapolated_mu_bytes_per_gate
     from repro.sortition import analyze
 
-    rows = []
+    points = []
     for c_param, f in ((1000, 0.05), (20000, 0.10), (20000, 0.20)):
         g = analyze(c_param, f)
-        n = round(g.committee_size)
-        k = g.packing_factor
-        ours = extrapolated_mu_bytes_per_gate(n, g.epsilon, k, args.te_bits)
-        nogap = extrapolated_mu_bytes_per_gate(n, g.epsilon, 1, args.te_bits)
+        points.append(
+            (c_param, f, round(g.committee_size), g.epsilon, g.packing_factor)
+        )
+    if args.n is not None:  # one more row, at the caller's own (n, ε)
+        k = max(1, int(args.n * args.epsilon))
+        points.append(("", "", args.n, args.epsilon, k))
+    rows = []
+    for c_param, f, n, epsilon, k in points:
+        ours = extrapolated_mu_bytes_per_gate(n, epsilon, k, args.te_bits)
+        nogap = extrapolated_mu_bytes_per_gate(n, epsilon, 1, args.te_bits)
         rows.append((c_param, f, n, k, round(ours), round(nogap),
                      round(nogap / ours)))
     print(f"Improvement factors at Table 1 scales "
@@ -391,7 +378,7 @@ def _cost_extrapolate(args: argparse.Namespace) -> int:
 
     model = SymbolicCostModel(
         result.params,
-        CircuitShape.of(result.circuit, result.plan),
+        CircuitShape.of_program(result.program),
         result.setup.proof_params,
     )
     formula = model.online_mul_bytes_per_gate()
@@ -708,14 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the JSON run report (with its trace) here")
     trace.set_defaults(fn=_cmd_trace)
 
-    extra = sub.add_parser(
-        "extrapolate", help="deployment-scale online bytes/gate"
-    )
-    extra.add_argument("n", type=int, help="committee size")
-    extra.add_argument("epsilon", type=float, help="the gap")
-    extra.add_argument("--te-bits", type=int, default=2048)
-    extra.set_defaults(fn=_cmd_extrapolate)
-
     cost = sub.add_parser(
         "cost",
         help="symbolic cost model: print formulas, evaluate, extrapolate",
@@ -723,7 +702,8 @@ def build_parser() -> argparse.ArgumentParser:
             "No flags: print the per-envelope size formula catalog.  With "
             "--n: evaluate the per-phase predictions at those parameters.  "
             "With --extrapolate: reproduce the paper's improvement-factor "
-            "table from the formulas alone, with a measured run overlaid."
+            "table from the formulas alone (plus a row at --n/--epsilon when "
+            "given), with a measured run overlaid."
         ),
     )
     cost.add_argument("--n", type=int, default=None, help="committee size")

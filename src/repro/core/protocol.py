@@ -22,7 +22,6 @@ from typing import Any, Callable, Mapping, Sequence
 from repro.accounting.comm import CommMeter
 from repro.accounting.symbolic import check_run_costs
 from repro.circuits.circuit import Circuit
-from repro.circuits.layering import BatchPlan
 from repro.circuits.program import CircuitProgram, compile_circuit
 from repro.core.offline import (
     OfflineState,
@@ -58,7 +57,9 @@ class MpcResult:
     outputs: dict[str, list[int]]
     params: ProtocolParams
     circuit: Circuit
-    plan: BatchPlan
+    #: The compiled program the evaluators executed (its ``plan`` is the
+    #: packing layout).
+    program: CircuitProgram
     meter: CommMeter
     setup: SetupArtifacts
     offline: OfflineState
@@ -68,9 +69,6 @@ class MpcResult:
     #: The run's bulletin board — the delivered envelopes the symbolic
     #: cost model cross-checks byte-for-byte (repro.accounting.symbolic).
     bulletin: Any = None
-    #: The compiled program the evaluators executed (``plan`` is its
-    #: packing layout, kept as a separate field for existing consumers).
-    program: CircuitProgram | None = None
 
     def phase_bytes(self, phase: str) -> int:
         return self.meter.total_bytes(phase)
@@ -174,7 +172,7 @@ class YosoMpc:
             outputs=outputs,
             params=self.params,
             circuit=circuit,
-            plan=program.plan,
+            program=program,
             meter=env.meter,
             setup=setup,
             offline=offline,
@@ -182,7 +180,6 @@ class YosoMpc:
             trace=tracer,
             transport=transport,
             bulletin=env.bulletin,
-            program=program,
         )
         # Honest metered runs double as validation oracles: every envelope
         # on the board must match its closed-form size formula exactly.

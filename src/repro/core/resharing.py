@@ -47,7 +47,6 @@ from repro.paillier.threshold import (
     ThresholdKeyShare,
     ThresholdPaillier,
     ThresholdPublicKey,
-    recombine_with_epoch,
 )
 from repro.wire.codec import register_wire_dataclass
 
@@ -240,7 +239,7 @@ def receive_share(
         limbs = [receiver_sk.decrypt(c) for c in sub.limbs]
         shifted = unchunk_integer(limbs, chunk_bits)
         contributions[sender] = shifted - (1 << resharing.offset_bits)
-    return recombine_with_epoch(
+    return ThresholdPaillier.recombine(
         tpk, receiver_index, contributions, previous_epoch, contributor_set
     )
 

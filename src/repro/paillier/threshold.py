@@ -326,6 +326,7 @@ class ThresholdPaillier:
         tpk: ThresholdPublicKey,
         receiver: int,
         contributions: Mapping[int, int],
+        previous_epoch: int,
         contributor_set: Sequence[int] | None = None,
     ) -> ThresholdKeyShare:
         """TKRec: combine received subshares into the next epoch's key share.
@@ -333,7 +334,9 @@ class ThresholdPaillier:
         ``contributions[i]`` is the subshare sent by previous-committee
         member ``i`` to ``receiver``.  *Every* receiver must use the same
         ``contributor_set`` (defaults to all contributors, sorted) or the
-        resulting shares lie on different polynomials.
+        resulting shares lie on different polynomials.  ``previous_epoch``
+        is the epoch of the shares that were reshared: the raw subshares
+        do not carry it, and ``combine`` corrects by the new share's epoch.
         """
         cset = sorted(contributor_set if contributor_set is not None else contributions)
         if len(cset) < tpk.threshold + 1:
@@ -349,9 +352,7 @@ class ThresholdPaillier:
         verification = pow(tpk.verification_base, tpk.delta * value, n2)
         _hooks.note(_hooks.THRESHOLD_RECOMBINE)
         _hooks.note(_hooks.PAILLIER_EXP)
-        # Epoch advances; epoch of the inputs is the receiver's concern —
-        # the protocol layer keeps committees in lockstep.
-        return ThresholdKeyShare(receiver, value, _next_epoch(contributions), verification)
+        return ThresholdKeyShare(receiver, value, previous_epoch + 1, verification)
 
     @staticmethod
     def derive_verification(
@@ -460,25 +461,3 @@ def _eval_int_poly(coefficients: Sequence[int], x: int) -> int:
     for c in reversed(coefficients):
         acc = acc * x + c
     return acc
-
-
-def _next_epoch(contributions: Mapping[int, int]) -> int:
-    # Placeholder hook: epoch bookkeeping is driven by the caller via
-    # ThresholdKeyShare.epoch on the *input* shares; recombine cannot see
-    # them (it only receives raw integers), so the protocol layer passes
-    # epochs out-of-band.  Default: epoch 1.
-    return 1
-
-
-def recombine_with_epoch(
-    tpk: ThresholdPublicKey,
-    receiver: int,
-    contributions: Mapping[int, int],
-    previous_epoch: int,
-    contributor_set: Sequence[int] | None = None,
-) -> ThresholdKeyShare:
-    """TKRec with explicit epoch bookkeeping (preferred entry point)."""
-    share = ThresholdPaillier.recombine(tpk, receiver, contributions, contributor_set)
-    return ThresholdKeyShare(
-        share.index, share.value, previous_epoch + 1, share.verification
-    )

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.accounting.symbolic import (
-    cost_check_enabled,
+    ExactnessReport,
     space_for_service,
     verify_cost_exactness,
 )
@@ -76,9 +76,9 @@ class EpochSummary:
     reshare_seconds: float
     online_bytes_per_gate: float
     board_bytes: int
+    #: The cost check's verdict on the posts this epoch added to the board.
+    cost_report: ExactnessReport = field(repr=False)
     inner_result: Any = field(repr=False, default=None)
-    #: This epoch's ``ExactnessReport`` (None when the check is opted out).
-    cost_report: Any = field(repr=False, default=None)
 
 
 class MpcService:
@@ -223,7 +223,7 @@ class MpcService:
         reshare_seconds = time.perf_counter() - started
 
         self._pipeline = None
-        cost_report = self.verify_costs() if cost_check_enabled() else None
+        cost_report = self.verify_costs()
 
         circuit = inner.circuit
         processed = self._ingest_processed
@@ -250,11 +250,11 @@ class MpcService:
                 else 0.0
             ),
             board_bytes=self.board.encoded_total_bytes(),
-            inner_result=inner,
             cost_report=cost_report,
+            inner_result=inner,
         )
 
-    def verify_costs(self):
+    def verify_costs(self) -> ExactnessReport:
         """Byte-exactness of every envelope posted since the last check
         (each post is walked once, however long the service lives)."""
         report = verify_cost_exactness(

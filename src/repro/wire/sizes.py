@@ -20,8 +20,8 @@ under the structural nominal.  The symbolic cost model carries that slack
 as an explicit per-kind symbol and the cross-check recomputes it from the
 decoded values — see docs/COSTMODEL.md for the exactness contract.
 
-Sympy is imported lazily: the exact helpers (used on every metered run)
-work without it; building symbolic expressions requires it.
+Sympy is imported lazily, on the first symbolic use: the import costs
+more than a small metered run, and the exact helpers never need it.
 """
 
 from __future__ import annotations
@@ -32,23 +32,6 @@ from repro.wire.codec import KEY_ID_BYTES
 
 #: magic(2) + version(1) + crc32(4): the fixed envelope framing bytes.
 ENVELOPE_FIXED_BYTES = 7
-
-_sympy = None
-
-
-def _sym() -> Any:
-    """The sympy module (lazy; raises a clear error when unavailable)."""
-    global _sympy
-    if _sympy is None:
-        try:
-            import sympy
-        except ImportError as exc:  # pragma: no cover - sympy ships with dev env
-            raise ImportError(
-                "symbolic wire sizes need sympy (install the project "
-                "dependencies); exact helpers work without it"
-            ) from exc
-        _sympy = sympy
-    return _sympy
 
 
 def _is_number(x: Any) -> bool:
@@ -118,7 +101,8 @@ def cdiv(a: Any, b: Any) -> Any:
     """``ceil(a / b)`` for ints or sympy expressions."""
     if _is_number(a) and _is_number(b):
         return -(-a // b)
-    sympy = _sym()
+    import sympy
+
     return sympy.ceiling(sympy.Rational(1, 1) * a / b)
 
 
@@ -126,18 +110,17 @@ def vlen(x: Any) -> Any:
     """Varint length of ``x``: exact for ints, ``Vlen(x)`` symbolically."""
     if _is_number(x):
         return varint_len(x)
-    return _vlen_function()(x)
+    return vlen_function()(x)
 
 
 _VLEN_FN = None
-_DIGITSUM_FN = None
 
 
-def _vlen_function() -> Any:
+def vlen_function() -> Any:
     """The sympy ``Vlen`` function (evaluates on integer arguments)."""
     global _VLEN_FN
     if _VLEN_FN is None:
-        sympy = _sym()
+        import sympy
 
         class Vlen(sympy.Function):
             """LEB128 varint byte length of a non-negative integer."""
@@ -167,33 +150,6 @@ def digit_sum(n: int) -> int:
     return total
 
 
-def digit_sum_expr(x: Any) -> Any:
-    """Dual-mode :func:`digit_sum`: exact for ints, ``DigitSum(x)`` symbolically."""
-    if _is_number(x):
-        return digit_sum(x)
-    return _digitsum_function()(x)
-
-
-def _digitsum_function() -> Any:
-    global _DIGITSUM_FN
-    if _DIGITSUM_FN is None:
-        sympy = _sym()
-
-        class DigitSum(sympy.Function):
-            """Total decimal-digit count of the integers 1..n."""
-
-            nargs = (1,)
-
-            @classmethod
-            def eval(cls, x: Any) -> Any:
-                if getattr(x, "is_Integer", False):
-                    return sympy.Integer(digit_sum(int(x)))
-                return None
-
-        _DIGITSUM_FN = DigitSum
-    return _DIGITSUM_FN
-
-
 # -- nominal sizes from declared bit widths ----------------------------------
 
 def int_nominal(bits: Any) -> Any:
@@ -213,11 +169,6 @@ def ct_nominal(modulus_bits: Any) -> Any:
     return 1 + KEY_ID_BYTES + cdiv(2 * modulus_bits, 8)
 
 
-def str_nominal(s: str) -> int:
-    """Wire bytes of a known string literal (exact, not a bound)."""
-    return str_wire_len(s)
-
-
 def bytes_nominal(length: Any) -> Any:
     """Nominal wire bytes of a byte string of ``length`` bytes."""
     return 1 + vlen(length) + length
@@ -226,11 +177,6 @@ def bytes_nominal(length: Any) -> Any:
 def seq_nominal(count: Any) -> Any:
     """List/tuple/dict header: tag byte + count varint."""
     return 1 + vlen(count)
-
-
-def obj_nominal(code: int, n_fields: int) -> int:
-    """Registered-object header: tag + code varint + field-count varint."""
-    return 1 + varint_len(code) + varint_len(n_fields)
 
 
 def envelope_nominal(
@@ -253,15 +199,3 @@ def envelope_nominal(
         + vlen(tag_len) + tag_len
         + vlen(body_len)
     )
-
-
-def kind_size_formula(kind: str, **kw: Any) -> Any:
-    """Closed-form per-envelope size formula of a registered kind.
-
-    Convenience re-export so formulas live next to the encoders; the
-    model itself is :mod:`repro.accounting.symbolic` (which depends on
-    this module, hence the lazy import).
-    """
-    from repro.accounting.symbolic import envelope_formula
-
-    return envelope_formula(kind, **kw)

@@ -68,22 +68,24 @@ class Post:
     @property
     def payload(self) -> Any:
         if not self._decoded:
-            self._payload = self.peek()
+            self._payload = self.peek()[1]
             self._decoded = True
         return self._payload
 
-    def peek(self) -> Any:
-        """The payload without caching it: a walker of the whole board (the
-        cost check) must not leave every post holding its decoded form."""
+    def peek(self) -> tuple[Envelope, Any]:
+        """The parsed frame and the payload, caching neither: a walker of
+        the whole board (the cost check) must not leave every post holding
+        its decoded form, and parses each frame once."""
         if self._decoded:
-            return self._payload
+            return self.envelope(), self._payload
         try:
-            payload = self._codec.decode(decode_envelope(self.encoded).body)
+            envelope = decode_envelope(self.encoded)
+            payload = self._codec.decode(envelope.body)
         except Exception:
             _hooks.note(_hooks.WIRE_DECODE_FAILURES)
             raise
         _hooks.note(_hooks.WIRE_DECODES)
-        return payload
+        return envelope, payload
 
     def envelope(self) -> Envelope:
         """Re-parse the stored envelope frame."""

@@ -111,13 +111,24 @@ class TestTraceCommand:
 
 
 class TestExtrapolateCommand:
+    """``repro cost --extrapolate``: Table 1 rows, plus one at --n/--epsilon."""
+
+    ARGS = ["cost", "--extrapolate", "--skip-measured"]
+
     def test_factor_reported(self, capsys):
-        assert main(["extrapolate", "20000", "0.05"]) == 0
-        out = capsys.readouterr().out
-        assert "1,000" in out or "1000" in out  # the 1000× regime
+        assert main(self.ARGS) == 0
+        table1 = capsys.readouterr().out.splitlines()
+        assert [row.split()[-1] for row in table1[-3:]] == ["28", "4,645", "1,093"]
+        assert main([*self.ARGS, "--n", "20000", "--epsilon", "0.05"]) == 0
+        extended = capsys.readouterr().out.splitlines()
+        assert extended[:-1] == table1
+        # k = ⌊n·ε⌋ = 1000 gates per batch, so the 1000× regime.
+        assert extended[-1].split()[:2] == ["20,000", "1,000"]  # C, f blank
+        assert extended[-1].split()[-1] == "1,000"
 
     def test_bad_epsilon_is_an_error(self, capsys):
-        assert main(["extrapolate", "100", "0.9"]) == 1
+        assert main([*self.ARGS, "--n", "100", "--epsilon", "0.9"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestServiceCommands:

@@ -2,14 +2,12 @@
 
 import pytest
 
-pytest.importorskip("sympy")
-
 from repro.accounting.symbolic import (
     CircuitShape,
     SymbolicCostModel,
     extrapolated_mu_bytes_per_gate,
 )
-from repro.circuits import dot_product_circuit, plan_batches
+from repro.circuits import compile_circuit, dot_product_circuit
 from repro.core import ProtocolParams, run_mpc
 from repro.errors import ParameterError
 
@@ -22,7 +20,7 @@ def validated_run():
         n=6, epsilon=0.25, seed=31,
     )
     model = SymbolicCostModel(
-        result.params, CircuitShape.of(circuit, result.plan),
+        result.params, CircuitShape.of_program(result.program),
         result.setup.proof_params,
     )
     return circuit, result, model
@@ -30,9 +28,9 @@ def validated_run():
 
 class TestShape:
     def test_circuit_shape_extraction(self):
-        circuit = dot_product_circuit(5)
-        plan = plan_batches(circuit, k=2)
-        shape = CircuitShape.of(circuit, plan)
+        shape = CircuitShape.of_program(
+            compile_circuit(dot_product_circuit(5), 2)
+        )
         assert shape.n_inputs == 10
         assert shape.n_multiplications == 5
         assert shape.n_outputs == 1
@@ -70,9 +68,8 @@ class TestCrossValidation:
 class TestModelStructure:
     def _model(self, n, epsilon, length=8, **kw):
         params = ProtocolParams.from_gap(n, epsilon, **kw)
-        circuit = dot_product_circuit(length)
-        plan = plan_batches(circuit, params.k)
-        return SymbolicCostModel(params, CircuitShape.of(circuit, plan))
+        program = compile_circuit(dot_product_circuit(length), params.k)
+        return SymbolicCostModel(params, CircuitShape.of_program(program))
 
     def test_online_per_gate_flat_in_n(self):
         # With k ∝ n and a circuit wide enough for full batches (the
@@ -82,7 +79,13 @@ class TestModelStructure:
         for n in (8, 16, 32):
             model = self._model(n, 0.25, length=45)  # 45 = lcm-ish: full batches
             per_gate = model.online_mul_bytes_per_gate()
-            bound = (1 / 0.25) * model.mu_entry_bytes()
+            # One batch's μ-share entry, from the formula itself: what a
+            # one-batch envelope costs over an empty one (headers cancel).
+            one, none = (
+                model._eval("online.mu_shares", Nb=nb, Ls=0, Lt=0)
+                for nb in (1, 0)
+            )
+            bound = (1 / 0.25) * (one - none)
             assert per_gate <= bound
             values.append(per_gate)
         assert max(values) <= min(values) * 1.5  # k-flooring wobble only
@@ -101,7 +104,7 @@ class TestModelStructure:
         circuit = b.build()
         params = ProtocolParams.from_gap(6, 0.2)
         model = SymbolicCostModel(
-            params, CircuitShape.of(circuit, plan_batches(circuit, params.k))
+            params, CircuitShape.of_program(compile_circuit(circuit, params.k))
         )
         assert model.online_mul_bytes_per_gate() == 0.0
         assert model.offline_bytes_per_gate() == 0.0

@@ -91,7 +91,7 @@ class TestStateObjects:
         assert set(circuit.multiplication_wires) == set(offline.gamma_cipher)
         # Every batch/member/kind bundle was re-encrypted.
         n = result.params.n
-        for batch in result.plan.mul_batches:
+        for batch in result.program.plan.mul_batches:
             for i in range(1, n + 1):
                 for kind in ("left", "right", "gamma"):
                     bundle = offline.packed_bundles[(batch.batch_id, i, kind)]

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.reencrypt import recover_reencrypted, reencrypt_contributions
 from repro.nizk import PlaintextKnowledgeProof, ProofParams
 from repro.paillier import ThresholdPaillier, generate_keypair
-from repro.paillier.threshold import recombine_with_epoch, teval
+from repro.paillier.threshold import teval
 
 PARAMS = ProofParams(challenge_bits=24)
 
@@ -49,7 +49,7 @@ def test_resharing_any_quorum_property(message, subset, seed):
     cset = sorted(subset)
     msgs = {s.index: ThresholdPaillier.reshare(_TPK, s, rng=rng) for s in _SHARES}
     new_shares = [
-        recombine_with_epoch(
+        ThresholdPaillier.recombine(
             _TPK, j, {i: msgs[i].subshares[j - 1] for i in cset}, 0, cset
         )
         for j in range(1, 5)

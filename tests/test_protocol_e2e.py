@@ -55,7 +55,7 @@ class TestHonestExecution:
         )
 
     def test_packed_ciphertexts_cover_batches(self, dot_result):
-        for batch in dot_result.plan.mul_batches:
+        for batch in dot_result.program.plan.mul_batches:
             for kind in ("left", "right", "gamma"):
                 shares = dot_result.offline.packed_cipher[(batch.batch_id, kind)]
                 assert len(shares) == dot_result.params.n

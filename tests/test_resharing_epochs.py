@@ -22,7 +22,6 @@ from repro.nizk import ProofParams
 from repro.paillier import ThresholdPaillier
 from repro.paillier.paillier import _keypair_from_primes
 from repro.paillier.primes import random_prime
-from repro.paillier.threshold import recombine_with_epoch
 
 PARAMS = ProofParams(challenge_bits=24)
 
@@ -44,7 +43,7 @@ def _advance_epoch(tpk, shares, rng):
     cset = sorted(messages)
     previous_epoch = shares[0].epoch
     return [
-        recombine_with_epoch(
+        ThresholdPaillier.recombine(
             tpk, j,
             {i: messages[i].subshares[j - 1] for i in cset},
             previous_epoch, cset,
@@ -94,7 +93,7 @@ class TestRecombineErrorPaths:
         tpk, shares = threshold_keygen(4, 1)
         message = ThresholdPaillier.reshare(tpk, shares[0], rng=rng)
         with pytest.raises(EncryptionError, match="need 2 resharing contributions"):
-            recombine_with_epoch(tpk, 1, {1: message.subshares[0]}, 0)
+            ThresholdPaillier.recombine(tpk, 1, {1: message.subshares[0]}, 0)
 
     def test_missing_contribution_from_set(self, threshold_keygen, rng):
         tpk, shares = threshold_keygen(4, 1)
@@ -103,7 +102,7 @@ class TestRecombineErrorPaths:
         }
         contributions = {i: messages[i].subshares[0] for i in (1, 2)}
         with pytest.raises(EncryptionError, match=r"missing contributions from \[3\]"):
-            recombine_with_epoch(tpk, 1, contributions, 0, contributor_set=[1, 2, 3])
+            ThresholdPaillier.recombine(tpk, 1, contributions, 0, contributor_set=[1, 2, 3])
 
     def test_default_contributor_set_is_all_contributions(
         self, threshold_keygen, rng
@@ -113,8 +112,8 @@ class TestRecombineErrorPaths:
             s.index: ThresholdPaillier.reshare(tpk, s, rng=rng) for s in shares
         }
         contributions = {i: messages[i].subshares[2] for i in sorted(messages)}
-        implicit = recombine_with_epoch(tpk, 3, contributions, 0)
-        explicit = recombine_with_epoch(
+        implicit = ThresholdPaillier.recombine(tpk, 3, contributions, 0)
+        explicit = ThresholdPaillier.recombine(
             tpk, 3, contributions, 0, contributor_set=sorted(contributions)
         )
         assert implicit == explicit
@@ -125,7 +124,7 @@ class TestRecombineErrorPaths:
             s.index: ThresholdPaillier.reshare(tpk, s, rng=rng) for s in shares
         }
         contributions = {i: messages[i].subshares[0] for i in sorted(messages)}
-        share = recombine_with_epoch(tpk, 1, contributions, previous_epoch=4)
+        share = ThresholdPaillier.recombine(tpk, 1, contributions, previous_epoch=4)
         assert share.epoch == 5
 
 

@@ -16,7 +16,7 @@ import weakref
 
 import pytest
 
-from repro.accounting.symbolic import CostExactnessError, cost_check_enabled
+from repro.accounting.symbolic import CostExactnessError
 from repro.errors import (
     EpochMismatchError,
     InvalidProofError,
@@ -104,7 +104,6 @@ class TestStatisticsService:
         assert replaced >= round(0.10 * STATS_CLIENTS)
         assert runs[1][1].epoch == 1
 
-    @pytest.mark.skipif(not cost_check_enabled(), reason="cost check disabled")
     def test_cost_exactness_on_memory_transport(self, stats_run):
         _, reports = stats_run
         # Announcements, >=10^1 client inputs per epoch, results, and
@@ -151,7 +150,6 @@ class TestAuctionService:
 
 # -- cost exactness over the sim transport ------------------------------------
 
-@pytest.mark.skipif(not cost_check_enabled(), reason="cost check disabled")
 def test_cost_exactness_on_sim_transport():
     rng = random.Random(11)
     with MpcService(workload="statistics", statistics_groups=2,
@@ -179,7 +177,6 @@ def _run_epochs(svc, count, rng, clients=5, before_close=None):
     return summaries
 
 
-@pytest.mark.skipif(not cost_check_enabled(), reason="cost check disabled")
 def test_epoch_cost_reports_partition_the_board():
     """Each close checks its own epoch's posts: once each, none skipped."""
     with MpcService(workload="statistics", statistics_groups=2, seed=41) as svc:
@@ -206,7 +203,7 @@ def test_epoch_cost_reports_partition_the_board():
         # The walk decoded every client input without pinning it to the board.
         inputs = [p for p in svc.board if p.tag.startswith("svc-input:")]
         assert len(inputs) == 15 and not any(p._decoded for p in inputs)
-        assert inputs[0].peek() == inputs[0].payload and inputs[0]._decoded
+        assert inputs[0].peek()[1] == inputs[0].payload and inputs[0]._decoded
 
 
 def test_closed_epoch_keeps_ids_not_submissions():
@@ -232,7 +229,6 @@ def test_closed_epoch_keeps_ids_not_submissions():
         assert summary.decoded["sum"] == sum(range(5))
 
 
-@pytest.mark.skipif(not cost_check_enabled(), reason="cost check disabled")
 def test_corrupted_post_caught_at_its_own_epoch_close():
     with MpcService(workload="statistics", statistics_groups=2, seed=43) as svc:
         rng = random.Random(29)

@@ -13,13 +13,14 @@ import dataclasses
 import random
 
 import pytest
+import sympy
 
-sympy = pytest.importorskip("sympy")
-
+import repro.accounting.symbolic as symbolic
 from repro.accounting.symbolic import (
     PARAM_SYMBOL_NAMES,
     RUN_SYMBOL_NAMES,
     CostExactnessError,
+    _formula_for,
     _SizeCtx,
     _Space,
     _space_for,
@@ -197,7 +198,7 @@ class TestChecksStillFire:
     def test_wrong_length_share_vector(self, it_result):
         _, vector = self._first_vector(it_result, "It-P2", "transfers")
         vector.append(0)
-        with pytest.raises(AssertionError, match="expected 9 items"):
+        with pytest.raises(CostExactnessError, match="expected 9 items"):
             verify_cost_exactness(it_result)
 
     def test_stale_shape(self, it_result):
@@ -227,13 +228,49 @@ class TestChecksStillFire:
             bulletin=board, space=space, start=6
         ).envelopes == full.envelopes - 6
 
+    @staticmethod
+    def _rewire_builder(monkeypatch, tag, wrap):
+        """Give the ``it.messages`` variant of ``tag`` the builder
+        ``wrap(its builder)`` and have its formula compiled afresh."""
+        spec = resolve_spec("it.messages", tag)
+        rewired = dataclasses.replace(spec, builder=wrap(spec.builder))
+        monkeypatch.setattr(symbolic, "_SPECS", tuple(
+            rewired if s is spec else s for s in symbolic._SPECS
+        ))
+        monkeypatch.setattr(symbolic, "_FORMULA_CACHE", {})
+
+    def test_formula_check_fires_on_its_own(self, it_result, monkeypatch):
+        # A symbolic reading that drops a byte the concrete reading keeps:
+        # the walk adds up to the body and to the delivery, the slack
+        # absorbs the byte, and only formula == measured can refuse it.
+        def drops_a_term(builder):
+            return lambda ctx, payload: (
+                builder(ctx, payload) + (0 if ctx.symbolic else 1)
+            )
+
+        self._rewire_builder(monkeypatch, "It-input", drops_a_term)
+        post = next(p for p in it_result.bulletin if p.tag == "It-input")
+        walked = measure_post(post, _space_for(it_result))
+        assert walked.actual == walked.measured
+        with pytest.raises(CostExactnessError, match="formula gives"):
+            verify_cost_exactness(it_result)
+
+    def test_symbol_without_a_value_is_named(self, it_result, monkeypatch):
+        # The formula reads a symbol neither the space nor the walk binds.
+        def reads_unbound_symbol(builder):
+            return lambda ctx, payload: (
+                builder(ctx, payload) + (sym("Gd") if ctx.symbolic else 0)
+            )
+
+        self._rewire_builder(monkeypatch, "It-input", reads_unbound_symbol)
+        with pytest.raises(CostExactnessError, match="symbol 'Gd' has no value"):
+            verify_cost_exactness(it_result)
+
 
 class TestAlwaysOnHook:
     def test_honest_run_self_checks(self, monkeypatch):
-        """The post-run hook fires on honest runs and respects the env gate."""
+        """The post-run hook fires on honest runs."""
         calls = []
-        import repro.accounting.symbolic as symbolic
-
         real = symbolic.verify_cost_exactness
         monkeypatch.setattr(
             symbolic, "verify_cost_exactness",
@@ -242,12 +279,6 @@ class TestAlwaysOnHook:
         run_mpc(dot_product_circuit(2), {"alice": [1, 2], "bob": [3, 4]},
                 n=5, epsilon=0.2, seed=3)
         assert calls  # the hook ran
-
-        monkeypatch.setenv("REPRO_COST_CHECK", "0")
-        calls.clear()
-        run_mpc(dot_product_circuit(2), {"alice": [1, 2], "bob": [3, 4]},
-                n=5, epsilon=0.2, seed=3)
-        assert not calls  # opt-out honoured
 
 
 class TestFormulas:
@@ -264,6 +295,37 @@ class TestFormulas:
                 s for s in expr.free_symbols if not s.name.startswith("_")
             }
             assert free <= glossary, (variant, free - glossary)
+
+    @pytest.mark.parametrize("robust", [False, True])
+    def test_compiled_evaluator_agrees_with_sympy(self, robust):
+        """What the check and the model call is the catalog's expression
+        read as exact ints: equal to sympy's own value on seeded random
+        points and at Table 1 scale, for every variant."""
+        rng = random.Random(1093)
+        names = PARAM_SYMBOL_NAMES + RUN_SYMBOL_NAMES
+        points = [
+            {
+                **{name: rng.randrange(1 << rng.randrange(1, 24)) for name in names},
+                "te": rng.randrange(2, 4097), "rb": rng.randrange(2, 4097),
+                "S": rng.randrange(-500, 500),
+            }
+            for _ in range(4)
+        ]
+        points.append({
+            **dict.fromkeys(names, 300), "te": 2048, "rb": 2048, "ch": 128,
+            "st": 80, "n": 5000, "t": 1200, "k": 1093, "gates": 10**6,
+            "batches": 915, "Gd": 10**6, "Nb": 915, "Kn": 5002, "Lk": 70028,
+            "OB": 4400, "Zpd": 4600,
+        })
+        for spec in spec_variants():
+            expr, evaluate = _formula_for(spec.variant, robust)
+            assert expr is formula_catalog(robust)[spec.variant]
+            for values in points:
+                reference = expr.xreplace(
+                    {sym(name): sympy.Integer(v) for name, v in values.items()}
+                )
+                assert reference.is_Integer, (spec.variant, reference)
+                assert evaluate(values) == int(reference), (spec.variant, values)
 
     def test_slack_has_unit_coefficient(self):
         """S is a pure correction: each formula is (structural nominal) − S."""

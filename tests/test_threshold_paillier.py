@@ -5,11 +5,7 @@ import pytest
 
 from repro.errors import EncryptionError, ParameterError
 from repro.paillier import ThresholdPaillier
-from repro.paillier.threshold import (
-    PartialDecryption,
-    recombine_with_epoch,
-    teval,
-)
+from repro.paillier.threshold import PartialDecryption, teval
 
 
 class TestKeygen:
@@ -113,7 +109,7 @@ class TestResharing:
         for j in range(1, tpk.n_parties + 1):
             contrib = {i: msgs[i].subshares[j - 1] for i in contributor_set}
             new.append(
-                recombine_with_epoch(tpk, j, contrib, epoch, contributor_set)
+                ThresholdPaillier.recombine(tpk, j, contrib, epoch, contributor_set)
             )
         return msgs, new
 
@@ -130,7 +126,10 @@ class TestResharing:
         current = list(shares)
         for epoch in range(3):
             _, current = self._reshare_once(tpk, current, [1, 2, 4], rng, epoch)
-        assert ThresholdPaillier.decrypt(tpk, current[1:3], ct) == 2024
+            # ``recombine`` alone labels the new shares: a share still on
+            # epoch 1 would make ``combine`` apply the wrong correction.
+            assert {s.epoch for s in current} == {epoch + 1}
+            assert ThresholdPaillier.decrypt(tpk, current[1:3], ct) == 2024
 
     def test_different_quorums_same_result(self, threshold_setup_t1, rng):
         tpk, shares = threshold_setup_t1
@@ -154,14 +153,15 @@ class TestResharing:
         tpk, shares = threshold_setup_t1
         msg = ThresholdPaillier.reshare(tpk, shares[0], rng=rng)
         with pytest.raises(EncryptionError):
-            ThresholdPaillier.recombine(tpk, 1, {1: msg.subshares[0]}, [1])
+            ThresholdPaillier.recombine(tpk, 1, {1: msg.subshares[0]}, 0, [1])
 
     def test_missing_contribution_rejected(self, threshold_setup_t1, rng):
         tpk, shares = threshold_setup_t1
         msgs = {s.index: ThresholdPaillier.reshare(tpk, s, rng=rng) for s in shares}
         with pytest.raises(EncryptionError):
             ThresholdPaillier.recombine(
-                tpk, 1, {1: msgs[1].subshares[0], 2: msgs[2].subshares[0]}, [1, 2, 3]
+                tpk, 1, {1: msgs[1].subshares[0], 2: msgs[2].subshares[0]}, 0,
+                [1, 2, 3],
             )
 
 
@@ -196,7 +196,7 @@ class TestSimTPDec:
         msgs = {s.index: ThresholdPaillier.reshare(tpk, s, rng=rng) for s in shares}
         cset = [1, 2, 3]
         new = [
-            recombine_with_epoch(
+            ThresholdPaillier.recombine(
                 tpk, j, {i: msgs[i].subshares[j - 1] for i in cset}, 0, cset
             )
             for j in range(1, 5)
