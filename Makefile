@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction workflow.
 
-.PHONY: install test lint bench bench-engine bench-wire bench-service bench-circuits cost-atlas examples table1 trace-demo service-demo check all outputs
+.PHONY: install test lint bench bench-engine bench-wire bench-service bench-circuits cost-atlas pairs examples table1 trace-demo service-demo check all outputs
 
 install:
 	pip install -e .
@@ -42,6 +42,16 @@ bench-circuits:
 # symbolic byte formulas (between the cost-atlas markers).
 cost-atlas:
 	PYTHONPATH=src python benchmarks/bench_costmodel.py --write
+
+# Alternated parent/change pairs of the end-to-end benchmark: the claimed
+# workload and the other three as controls, N seeds each, medians, wins and
+# compare.py's verdicts (benchmarks/pairs.py).  BASE is the parent commit.
+WORKLOAD ?= core_dot_256
+N ?= 10
+BASE ?= HEAD
+
+pairs:
+	python benchmarks/pairs.py --workload $(WORKLOAD) --pairs $(N) --base $(BASE)
 
 examples:
 	for ex in examples/*.py; do echo "== $$ex =="; python $$ex || exit 1; done

@@ -134,6 +134,40 @@ def reencrypt_contributions(
     return out
 
 
+def _combine_verified(
+    tpk: ThresholdPublicKey,
+    ciphertext: PaillierCiphertext,
+    candidates: Sequence[tuple[PartialDecryption, PartialDecryptionProof]],
+    sender_verifications: dict[int, int],
+    params: ProofParams,
+    what: str,
+) -> int:
+    """TDec over the candidates whose proofs verify, checked as one batch.
+
+    A candidate claiming an unknown sender is dropped; of several verified
+    ones under one sender index (a member re-posting another's valid
+    contribution) the first is kept, so a copycat cannot abort the
+    combination.  Raises :class:`ProtocolAbortError` if fewer than t+1
+    senders are left — which the corruption bound rules out.
+    """
+    items = [
+        (partial, sender_verifications[partial.index], proof)
+        for partial, proof in candidates
+        if partial.index in sender_verifications
+    ]
+    verdicts = PartialDecryptionProof.verify_many(tpk, ciphertext, items, params)
+    verified: dict[int, PartialDecryption] = {}
+    for (partial, _, _), ok in zip(items, verdicts):
+        if ok:
+            verified.setdefault(partial.index, partial)
+    if len(verified) < tpk.threshold + 1:
+        raise ProtocolAbortError(
+            f"only {len(verified)} of the required {tpk.threshold + 1} "
+            f"{what} partials verified — corruption bound exceeded?"
+        )
+    return ThresholdPaillier.combine(tpk, verified.values())
+
+
 def recover_reencrypted(
     tpk: ThresholdPublicKey,
     ciphertext: PaillierCiphertext,
@@ -150,10 +184,9 @@ def recover_reencrypted(
     which the corruption bound rules out.
     """
     chunk_bits = safe_chunk_bits(recipient_sk.public.n)
-    verified: list[PartialDecryption] = []
+    candidates = []
     for contribution in contributions:
-        verification = sender_verifications.get(contribution.sender_index)
-        if verification is None:
+        if contribution.sender_index not in sender_verifications:
             continue
         limbs = [recipient_sk.decrypt(c) for c in contribution.chunks]
         value = unchunk_integer(limbs, chunk_bits)
@@ -162,15 +195,12 @@ def recover_reencrypted(
         partial = PartialDecryption(
             contribution.sender_index, value, contribution.epoch
         )
-        if contribution.proof.verify(tpk, ciphertext, partial, verification, params):
-            verified.append(partial)
-    if len(verified) < tpk.threshold + 1:
-        raise ProtocolAbortError(
-            f"only {len(verified)} of the required {tpk.threshold + 1} "
-            "re-encryption partials verified — corruption bound exceeded?"
-        )
+        candidates.append((partial, contribution.proof))
+    plaintext = _combine_verified(
+        tpk, ciphertext, candidates, sender_verifications, params, "re-encryption"
+    )
     _hooks.note(_hooks.REENCRYPT_RECOVERY)
-    return ThresholdPaillier.combine(tpk, verified)
+    return plaintext
 
 
 def public_decrypt_contributions(
@@ -200,21 +230,10 @@ def combine_public(
     params: ProofParams,
 ) -> int:
     """Anyone's side of Decrypt: verify proofs publicly, combine -> plaintext."""
-    verified = [
-        c.partial
-        for c in contributions
-        if c.partial.index in sender_verifications
-        and c.proof.verify(
-            tpk, ciphertext, c.partial,
-            sender_verifications[c.partial.index], params,
-        )
-    ]
-    if len(verified) < tpk.threshold + 1:
-        raise ProtocolAbortError(
-            f"only {len(verified)} of the required {tpk.threshold + 1} "
-            "public partials verified — corruption bound exceeded?"
-        )
-    return ThresholdPaillier.combine(tpk, verified)
+    return _combine_verified(
+        tpk, ciphertext, [(c.partial, c.proof) for c in contributions],
+        sender_verifications, params, "public",
+    )
 
 
 # ---------------------------------------------------------------------------

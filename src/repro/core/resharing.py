@@ -78,12 +78,6 @@ class EncryptedResharing:
 register_wire_dataclass(19, EncryptedResharing)
 
 
-def dlog_base(tpk: ThresholdPublicKey) -> int:
-    """The exponent-check base ``v^Δ mod N²`` shared by all checks."""
-    (base,) = exp_many([(tpk.verification_base, tpk.delta, tpk.n_squared)])
-    return base
-
-
 def build_resharing(
     tpk: ThresholdPublicKey,
     share: ThresholdKeyShare,
@@ -99,7 +93,7 @@ def build_resharing(
     raw = ThresholdPaillier.reshare(tpk, share, rng=rng)
     offset_bits = max(abs(s).bit_length() for s in raw.subshares) + 1
     offset = 1 << offset_bits
-    base = dlog_base(tpk)
+    base = tpk.exponent_check_base
     n2 = tpk.n_squared
     # Chunk every subshare and draw every limb randomizer first (fixed order),
     # so the two heavy exponentiation families — limb encryptions and the
@@ -168,7 +162,7 @@ def verify_resharing(
         tpk, resharing.verifications, sender_verification
     ):
         return False
-    base = dlog_base(tpk)
+    base = tpk.exponent_check_base
     n2 = tpk.n_squared
     (offset_term,) = exp_many([(base, 1 << resharing.offset_bits, n2)])
     for sub in resharing.subshares:

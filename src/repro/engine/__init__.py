@@ -3,7 +3,8 @@
 A job-based bulk-arithmetic layer for the Paillier-heavy offline path:
 
 * :class:`~repro.engine.engine.CryptoEngine` — the interface (ordered,
-  bit-deterministic ``pow_many`` over picklable ``(base, exp, mod)`` jobs);
+  bit-deterministic ``pow_many`` over picklable ``(base, exp, mod)`` jobs,
+  a job being one power or one simultaneous multi-exponentiation);
 * :class:`~repro.engine.engine.SerialEngine` — in-process, the default;
 * :class:`~repro.engine.engine.ProcessPoolEngine` — chunks batches across
   a ``multiprocessing`` pool with graceful serial fallback;
@@ -32,6 +33,7 @@ from repro.engine.engine import (
     exp_many,
     install,
     make_engine,
+    multi_exp,
 )
 from repro.engine.fixedbase import FixedBaseStore, FixedBaseTable
 from repro.engine.jobs import PowJob, chunk_jobs, compute_pows, run_pow_chunk
@@ -56,6 +58,7 @@ __all__ = [
     "activated",
     "active",
     "exp_many",
+    "multi_exp",
     "install",
     "make_engine",
     *_BATCH_EXPORTS,

@@ -57,7 +57,9 @@ class CryptoEngine:
     """Interface: evaluate a batch of independent modular exponentiations.
 
     Implementations must return results in job order and must be
-    bit-identical to ``[pow(b, e, m) for b, e, m in jobs]``.
+    bit-identical to ``[pow(b, e, m) for b, e, m in jobs]`` — for a
+    multi-exponentiation job (see :mod:`repro.engine.jobs`), to the product
+    of its powers reduced modulo ``m``.
     """
 
     name = "abstract"
@@ -222,6 +224,17 @@ def exp_many(jobs: Sequence[PowJob]) -> list[int]:
     """
     _hooks.note(_hooks.PAILLIER_EXP, len(jobs))
     return _active.pow_many(jobs)
+
+
+def multi_exp(bases: Sequence[int], exponents: Sequence[int], modulus: int) -> int:
+    """``Π base_i^exponent_i mod modulus`` as one multi-exponentiation job.
+
+    Every base is counted under ``paillier.exp``: the counter keeps
+    meaning "exponentiations asked for", whatever pass serves them.
+    """
+    _hooks.note(_hooks.PAILLIER_EXP, len(bases))
+    (value,) = _active.pow_many([(tuple(bases), tuple(exponents), modulus)])
+    return value
 
 
 def make_engine(

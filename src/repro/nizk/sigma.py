@@ -12,16 +12,25 @@ Every modular exponentiation here is issued through
 :func:`repro.engine.engine.exp_many` — one small engine batch per group of
 powers that do not depend on each other — so it is counted under
 ``paillier.exp`` and served by the engine kernel's fixed-base tables: the
-exponent-check base ``v^Δ`` recurs in every partial-decryption and
-resharing proof of a run.  The values are those of ``builtins.pow``.
+exponent-check base ``v^Δ`` (:attr:`ThresholdPublicKey.exponent_check_base`)
+recurs in every partial-decryption and resharing proof of a run.  The
+values are those of ``builtins.pow``.
+
+A committee's partial-decryption proofs against one ciphertext are checked
+together: :meth:`PartialDecryptionProof.verify_many` collapses their
+ciphertext-side equations into one by a hash-derived small-exponent random
+linear combination, and its right side is one simultaneous
+multi-exponentiation (:func:`repro.engine.engine.multi_exp`).  The other
+three relations are verified proof by proof (docs/PROTOCOL.md says why).
 """
 
 from __future__ import annotations
 
 import secrets
 from dataclasses import dataclass
+from typing import Sequence
 
-from repro.engine.engine import exp_many
+from repro.engine.engine import exp_many, multi_exp
 from repro.errors import ParameterError
 from repro.nizk.params import DEFAULT_PARAMS, ProofParams
 from repro.nizk.transcript import FiatShamirTranscript
@@ -205,6 +214,7 @@ class PartialDecryptionProof:
     response: int
 
     LABEL = "threshold-partial-decryption"
+    BATCH_LABEL = "threshold-partial-decryption-batch"
 
     @classmethod
     def prove(
@@ -252,6 +262,84 @@ class PartialDecryptionProof:
         return lhs1 == rhs1 and lhs2 == rhs2
 
     @classmethod
+    def verify_many(
+        cls,
+        tpk: ThresholdPublicKey,
+        ciphertext: PaillierCiphertext,
+        items: Sequence[tuple[PartialDecryption, int, "PartialDecryptionProof"]],
+        params: ProofParams = DEFAULT_PARAMS,
+    ) -> list[bool]:
+        """The verdicts of ``proof.verify(tpk, ciphertext, partial, v_i, params)``
+        for every ``(partial, v_i, proof)`` of ``items``, checked as one batch.
+
+        Range checks and challenges are per proof, as in :meth:`verify`, and
+        so is the verification-value equation ``(v^Δ)^z = t2·v_i^e``: its base
+        has a fixed-base table, and checking it exactly names a wrong share
+        at once.  The ciphertext-side equations ``(c^{4Δ})^z = t1·(c_i²)^e``
+        of the proofs that got this far — whose base changes with every
+        ciphertext — are checked as one (Bellare–Garay–Rabin):
+
+            (c^{4Δ})^{Σ ρ_i·z_i}  ==  Π t1_i^{ρ_i} · (c_i²)^{e_i·ρ_i}
+
+        one long power and one multi-exponentiation instead of two powers per
+        proof.  The ``challenge_bits``-bit coefficients ``ρ_i`` are squeezed
+        from a transcript that has absorbed the statement and *every* item, so
+        the verdicts are a function of the batch alone and no coefficient is
+        known before the last proof is.  If the combined equation fails, each
+        remaining proof is put to :meth:`verify`, so the culprit is still
+        named.  A passing batch can differ from the per-proof verdicts only by
+        accepting a ``t1`` that is off by the order-2 element −1, which leaves
+        the proven relation intact (docs/PROTOCOL.md, "Batch verification").
+        """
+        n2 = tpk.n_squared
+        base_c, base_v = cls._bases(tpk, ciphertext)
+        batch = FiatShamirTranscript(cls.BATCH_LABEL)
+        batch.absorb(tpk.n, tpk.verification_base, ciphertext.value)
+        in_range: list[tuple[int, int]] = []   # (position in items, challenge)
+        jobs = []
+        for position, (partial, verification_value, proof) in enumerate(items):
+            t1, t2 = proof.commitment_cipher, proof.commitment_verif
+            batch.absorb(
+                partial.index, partial.value, partial.epoch,
+                verification_value, t1, t2, proof.response,
+            )
+            if not (0 < t1 < n2 and 0 < t2 < n2):
+                continue
+            e = cls._challenge(
+                tpk, ciphertext, partial, verification_value, t1, t2, params
+            )
+            jobs += [(base_v, proof.response, n2), (verification_value, e, n2)]
+            in_range.append((position, e))
+        powers = exp_many(jobs)
+        combined_exponent = 0
+        bases: list[int] = []
+        exponents: list[int] = []
+        pending = []
+        for slot, (position, e) in enumerate(in_range):
+            partial, _, proof = items[position]
+            if powers[2 * slot] != proof.commitment_verif * powers[2 * slot + 1] % n2:
+                continue
+            rho = batch.challenge(params.challenge_bits)
+            combined_exponent += rho * proof.response
+            bases += [proof.commitment_cipher, partial.value * partial.value % n2]
+            exponents += [rho, e * rho]
+            pending.append(position)
+        verdicts = [False] * len(items)
+        if not pending:
+            return verdicts
+        (lhs,) = exp_many([(base_c, combined_exponent, n2)])
+        if lhs == multi_exp(bases, exponents, n2):
+            for position in pending:
+                verdicts[position] = True
+        else:
+            for position in pending:
+                partial, verification_value, proof = items[position]
+                verdicts[position] = proof.verify(
+                    tpk, ciphertext, partial, verification_value, params
+                )
+        return verdicts
+
+    @classmethod
     def simulate(
         cls,
         tpk: ThresholdPublicKey,
@@ -277,12 +365,8 @@ class PartialDecryptionProof:
     @staticmethod
     def _bases(tpk, ciphertext) -> tuple[int, int]:
         """``(c^{4Δ}, v^Δ)``, the two bases of the discrete-log equality."""
-        n2 = tpk.n_squared
-        base_c, base_v = exp_many([
-            (ciphertext.value, 4 * tpk.delta, n2),
-            (tpk.verification_base, tpk.delta, n2),
-        ])
-        return base_c, base_v
+        (base_c,) = exp_many([(ciphertext.value, 4 * tpk.delta, tpk.n_squared)])
+        return base_c, tpk.exponent_check_base
 
     @classmethod
     def _challenge(cls, tpk, ciphertext, partial, verification_value, t1, t2, params):

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import secrets
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from repro.engine.engine import active as _active_engine
@@ -84,6 +85,20 @@ class ThresholdPublicKey:
     def delta(self) -> int:
         """Δ = n!, the Lagrange denominator-clearing factor."""
         return falling_factorial_delta(self.n_parties)
+
+    @cached_property
+    def exponent_check_base(self) -> int:
+        """``v^Δ mod N²``, the base of every exponent check against a
+        verification value ``v_i = (v^Δ)^{d_i}``: the partial-decryption
+        proofs and the resharing checks all raise it.
+
+        A constant of the key, derived on first use and kept with the key
+        object (not a field: equality, hashing and the wire form are those
+        of the four fields).  That one derivation is what ``paillier.exp``
+        counts — once per key, not once per proof.
+        """
+        _hooks.note(_hooks.PAILLIER_EXP)
+        return pow(self.verification_base, self.delta, self.n_squared)
 
     @property
     def plaintext_modulus(self) -> int:

@@ -12,8 +12,10 @@ from repro.core.reencrypt import (
     reencrypt_contributions,
 )
 from repro.errors import ProtocolAbortError
-from repro.nizk import ProofParams
+from repro.nizk import PartialDecryptionProof, ProofParams
 from repro.paillier import generate_keypair
+from repro.paillier.encoding import safe_chunk_bits, unchunk_integer
+from repro.paillier.threshold import PartialDecryption
 
 PARAMS = ProofParams(challenge_bits=24)
 
@@ -106,6 +108,53 @@ class TestReencrypt:
         ) == 2024
 
 
+    def test_copycat_contribution_is_not_an_abort(self, setup, rng):
+        # A member posts another member's valid contribution as its own
+        # (in place of it, or beside it): one partial per sender index is
+        # combined, and the output is still delivered.
+        tpk, shares, recipient, verifs = setup
+        ct = tpk.encrypt(808, rng=rng)
+        contributions = [
+            reencrypt_contribution(tpk, s, ct, recipient.public, PARAMS, rng)
+            for s in shares
+        ]
+        for posted in (
+            [contributions[0], contributions[0]] + contributions[2:],
+            contributions + [contributions[1]],
+        ):
+            assert recover_reencrypted(
+                tpk, ct, posted, recipient.secret, verifs, PARAMS
+            ) == 808
+
+    def test_wrong_partial_under_a_wellformed_proof_excluded(self, setup, rng):
+        # The cheat only the ciphertext-side equation sees: the sender proves
+        # a wrong partial with its real share.
+        tpk, shares, recipient, verifs = setup
+        ct = tpk.encrypt(99, rng=rng)
+        contributions = [
+            reencrypt_contribution(tpk, s, ct, recipient.public, PARAMS, rng)
+            for s in shares
+        ]
+        other = tpk.encrypt(100, rng=rng)
+        wrong = reencrypt_contribution(
+            tpk, shares[0], other, recipient.public, PARAMS, rng
+        )
+        partial = PartialDecryption(
+            1, unchunk_integer(
+                [recipient.secret.decrypt(c) for c in wrong.chunks],
+                safe_chunk_bits(recipient.public.n),
+            ), 0,
+        )
+        bad = dataclasses.replace(
+            wrong, proof=PartialDecryptionProof.prove(
+                tpk, ct, partial, shares[0], PARAMS, rng
+            ),
+        )
+        assert recover_reencrypted(
+            tpk, ct, [bad] + contributions[1:], recipient.secret, verifs, PARAMS
+        ) == 99
+
+
 class TestPublicDecrypt:
     def test_roundtrip(self, setup, rng):
         tpk, shares, _, verifs = setup
@@ -131,6 +180,18 @@ class TestPublicDecrypt:
         assert combine_public(
             tpk, ct, [bad] + contributions[1:], verifs, PARAMS
         ) == 777
+
+    def test_copycat_contribution_is_not_an_abort(self, setup, rng):
+        tpk, shares, _, verifs = setup
+        ct = tpk.encrypt(778, rng=rng)
+        contributions = [
+            public_decrypt_contribution(tpk, s, ct, PARAMS, rng) for s in shares
+        ]
+        for posted in (
+            [contributions[0], contributions[0]] + contributions[2:],
+            contributions + [contributions[1]],
+        ):
+            assert combine_public(tpk, ct, posted, verifs, PARAMS) == 778
 
     def test_all_bad_aborts(self, setup, rng):
         tpk, shares, _, verifs = setup

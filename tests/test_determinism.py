@@ -1,6 +1,7 @@
 """Reproducibility: seeded runs are bit-for-bit deterministic."""
 
 import hashlib
+import math
 import random
 
 import pytest
@@ -89,15 +90,21 @@ def _service_boards():
     return outer + _board_bytes(summary.inner_result.bulletin)
 
 
+def _builtin_pows(jobs):
+    """The kernel's contract with no table and no Straus pass: ``pow`` alone."""
+    return [
+        math.prod(pow(b, x, m) for b, x in zip(base, e)) % m
+        if isinstance(base, tuple) else pow(base, e, m)
+        for base, e, m in jobs
+    ]
+
+
 @pytest.mark.parametrize("board", [_core_board, _cdn_board, _service_boards])
 def test_board_bytes_identical_with_and_without_tables(board, monkeypatch):
     jobs_mod.clear_tables()
     with_tables = board()
     assert jobs_mod._TABLES.table_bytes > 0, "the run never built a table"
-    monkeypatch.setattr(
-        engine_mod, "compute_pows",
-        lambda jobs: [pow(base, e, m) for base, e, m in jobs],
-    )
+    monkeypatch.setattr(engine_mod, "compute_pows", _builtin_pows)
     jobs_mod.clear_tables()
     plain = board()
     assert jobs_mod._TABLES.table_bytes == 0

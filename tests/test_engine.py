@@ -7,6 +7,7 @@ without changing a single transcript byte — the last test class checks
 exactly that on a full protocol run.
 """
 
+import math
 import random
 
 import pytest
@@ -311,6 +312,127 @@ class TestComputePows:
     def test_run_pow_chunk_is_compute_pows(self, rng):
         jobs = _jobs(8, rng)
         assert run_pow_chunk(jobs) == compute_pows(jobs)
+
+
+def _product_of_pows(bases, exponents, modulus):
+    """What a multi-exponentiation job is worth, by ``builtins.pow`` alone."""
+    return math.prod(pow(b, e, modulus) for b, e in zip(bases, exponents)) % modulus
+
+
+def _multi_jobs(count, rng, bits=256):
+    """Batch-verification shaped jobs: 2n bases below a ``2·bits``-bit
+    modulus, exponents alternating ``bits/2 - 2`` and ``bits - 4`` bits."""
+    modulus = _big_modulus(rng, 2 * bits)
+    short = bits // 2 - 2
+    jobs = []
+    for _ in range(count):
+        n_bases = 2 * rng.randrange(1, 7)
+        jobs.append((
+            tuple(rng.randrange(modulus) for _ in range(n_bases)),
+            tuple(rng.getrandbits(short * (1 + i % 2)) for i in range(n_bases)),
+            modulus,
+        ))
+    return jobs
+
+
+class TestMultiPow:
+    """The multi-exponentiation job kind: ``Π pow(b, e, m) % m``, exactly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        operands=st.lists(
+            st.tuples(
+                st.integers(min_value=-(1 << 300), max_value=1 << 300),
+                st.one_of(
+                    st.just(0),
+                    st.integers(min_value=0, max_value=1 << 126),
+                    st.integers(min_value=0, max_value=1 << 252),
+                    st.integers(min_value=-(1 << 64), max_value=-1),
+                ),
+            ),
+            max_size=9,
+        ),
+        modulus=_moduli,
+    )
+    def test_matches_the_product_of_builtin_pows(self, operands, modulus):
+        bases = tuple(b for b, _ in operands)
+        exponents = tuple(e for _, e in operands)
+        assert _outcome(jobs_mod.multi_pow, bases, exponents, modulus) == _outcome(
+            _product_of_pows, bases, exponents, modulus
+        )
+
+    def test_batch_verification_widths(self, rng):
+        # 252-bit next to 126-bit exponents: the short ones run out of
+        # digits half way up the shared squaring chain.
+        for bases, exponents, modulus in _multi_jobs(20, rng):
+            assert {e.bit_length() > 126 for e in exponents} == {True, False}
+            assert jobs_mod.multi_pow(bases, exponents, modulus) == _product_of_pows(
+                bases, exponents, modulus
+            )
+
+    def test_degenerate_shapes(self, rng):
+        modulus = _big_modulus(rng)
+        base, exponent = rng.randrange(modulus), _long_exponent(rng)
+        assert jobs_mod.multi_pow((), (), modulus) == 1
+        assert jobs_mod.multi_pow((base,), (exponent,), modulus) == pow(
+            base, exponent, modulus
+        )
+        assert jobs_mod.multi_pow((base, 7, 0), (0, 0, 0), modulus) == 1
+        assert jobs_mod.multi_pow((base, 0), (exponent, 5), modulus) == 0
+        assert jobs_mod.multi_pow((base, 7), (exponent, 0), 1) == 0
+        assert jobs_mod.multi_pow((), (), 1) == 0
+
+    def test_raises_what_pow_raises(self, rng):
+        modulus = 3 * _big_modulus(rng)            # 3 has no inverse
+        with pytest.raises(ValueError) as builtin:
+            pow(3, -5, modulus)
+        with pytest.raises(ValueError) as ours:
+            jobs_mod.multi_pow((2, 3), (9, -5), modulus)
+        assert str(ours.value) == str(builtin.value)
+        assert jobs_mod.multi_pow((2, 5), (9, -5), modulus) == _product_of_pows(
+            (2, 5), (9, -5), modulus
+        )
+        with pytest.raises(ValueError) as builtin:
+            pow(2, 9, 0)
+        with pytest.raises(ValueError) as ours:
+            jobs_mod.multi_pow((2,), (9,), 0)
+        assert str(ours.value) == str(builtin.value)
+        with pytest.raises(ValueError):
+            jobs_mod.multi_pow((2, 3), (9,), modulus)   # a base without an exponent
+
+    def test_one_kernel_serves_both_job_kinds_in_order(self, rng):
+        singles, multis = _jobs(6, rng), _multi_jobs(6, rng)
+        jobs = [job for pair in zip(singles, multis) for job in pair]
+        expected = [
+            value
+            for single, multi in zip(singles, multis)
+            for value in (pow(*single), _product_of_pows(*multi))
+        ]
+        assert compute_pows(jobs) == expected
+
+    def test_serial_and_pool_engines_are_bit_identical(self, rng):
+        jobs = _multi_jobs(40, rng) + _jobs(8, rng)
+        expected = [
+            _product_of_pows(*job) if isinstance(job[0], tuple) else pow(*job)
+            for job in jobs
+        ]
+        tracer = Tracer()
+        with ProcessPoolEngine(workers=2, min_parallel=1) as pool, \
+                _hooks.activated(tracer):
+            assert pool.pow_many(jobs) == expected
+        assert tracer.counter_totals()[_hooks.ENGINE_POOL_JOBS] == len(jobs)
+        assert SerialEngine().pow_many(jobs) == expected
+
+    def test_multi_exp_counts_every_base(self, rng):
+        ((bases, exponents, modulus),) = _multi_jobs(1, rng)
+        tracer = Tracer()
+        with _hooks.activated(tracer):
+            value = engine_mod.multi_exp(list(bases), list(exponents), modulus)
+        assert value == _product_of_pows(bases, exponents, modulus)
+        totals = tracer.counter_totals()
+        # "exponentiations asked for": one per base; the engine saw one job.
+        assert totals[_hooks.PAILLIER_EXP] == len(bases)
+        assert totals[_hooks.ENGINE_JOBS] == 1 and totals[_hooks.ENGINE_BATCHES] == 1
 
 
 class TestChunkJobs:

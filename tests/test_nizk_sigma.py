@@ -4,7 +4,9 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.reencrypt import PublicPartial, combine_public
 from repro.nizk import (
     MultiplicationProof,
     PartialDecryptionProof,
@@ -161,6 +163,159 @@ class TestPartialDecryption:
         base_v = pow(tpk.verification_base, tpk.delta, n2)
         assert pow(base_c, z, n2) == t1 * pow(pow(partial.value, 2, n2), e, n2) % n2
         assert pow(base_v, z, n2) == t2 * pow(shares[0].verification, e, n2) % n2
+
+
+@pytest.fixture(scope="module")
+def committee(tkeys):
+    """One ciphertext and every member's honest ``(partial, v_i, proof)``."""
+    tpk, shares = tkeys
+    rng = random.Random(0xBA7C4)
+    ct = tpk.encrypt(4242, rng=rng)
+    honest = []
+    for share in shares:
+        partial = ThresholdPaillier.partial_decrypt(tpk, share, ct)
+        proof = PartialDecryptionProof.prove(tpk, ct, partial, share, PARAMS, rng)
+        honest.append((partial, share.verification, proof))
+    return tpk, shares, ct, honest
+
+
+def _tampered(kind, item, other, salt, tpk, ct, share):
+    """``item`` with one field spoiled; ``other`` is another member's item."""
+    partial, verification, proof = item
+    n2 = tpk.n_squared
+    if kind in ("commitment_cipher", "commitment_verif"):
+        moved = (getattr(proof, kind) + salt) % n2 or 1
+        proof = dataclasses.replace(proof, **{kind: moved})
+    elif kind == "response":
+        proof = dataclasses.replace(proof, response=proof.response + salt)
+    elif kind == "partial_value":
+        partial = dataclasses.replace(partial, value=partial.value * (salt + 1) % n2)
+    elif kind == "index":
+        partial = dataclasses.replace(partial, index=other[0].index)
+    elif kind == "epoch":
+        partial = dataclasses.replace(partial, epoch=partial.epoch + salt)
+    elif kind == "verification_value":
+        verification = other[1]
+    elif kind == "swapped_proof":
+        proof = other[2]
+    elif kind == "out_of_range":
+        # The same residue, so both equations hold: only the range check objects.
+        field = ("commitment_cipher", "commitment_verif")[salt % 2]
+        proof = dataclasses.replace(proof, **{field: getattr(proof, field) + n2})
+    else:
+        assert kind == "wrong_partial_proved_with_the_share"
+        # The verification-value equation holds (the prover used its share);
+        # only the ciphertext side — the combined check — can object.
+        partial = dataclasses.replace(partial, value=partial.value * 4 % n2)
+        proof = PartialDecryptionProof.prove(
+            tpk, ct, partial, share, PARAMS, random.Random(salt)
+        )
+    return partial, verification, proof
+
+
+_TAMPERINGS = (
+    "commitment_cipher", "commitment_verif", "response", "partial_value",
+    "index", "epoch", "verification_value", "swapped_proof", "out_of_range",
+    "wrong_partial_proved_with_the_share",
+)
+
+
+class TestPartialDecryptionBatch:
+    """``verify_many`` returns what the per-proof loop returns."""
+
+    @pytest.mark.parametrize("n_bad", [0, 1, 2])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_verdicts_are_the_per_proof_verdicts(self, committee, n_bad, data):
+        tpk, shares, ct, honest = committee
+        order = data.draw(st.permutations(range(len(honest))))
+        size = data.draw(st.integers(max(1, n_bad), len(honest)))
+        bad = data.draw(st.sets(
+            st.integers(0, size - 1), min_size=n_bad, max_size=n_bad
+        ))
+        items = []
+        for position, sender in enumerate(order[:size]):
+            item = honest[sender]
+            if position in bad:
+                kind = data.draw(st.sampled_from(_TAMPERINGS))
+                salt = data.draw(st.integers(1, 1 << 40))
+                other = honest[(sender + 1 + salt % (len(honest) - 1)) % len(honest)]
+                item = _tampered(kind, item, other, salt, tpk, ct, shares[sender])
+            items.append(item)
+        verdicts = PartialDecryptionProof.verify_many(tpk, ct, items, PARAMS)
+        assert verdicts == [
+            proof.verify(tpk, ct, partial, verification, PARAMS)
+            for partial, verification, proof in items
+        ]
+        assert verdicts == [position not in bad for position in range(size)]
+
+    def test_empty_batch(self, committee):
+        tpk, _, ct, _ = committee
+        assert PartialDecryptionProof.verify_many(tpk, ct, [], PARAMS) == []
+
+    def test_fallback_names_the_culprit(self, committee, monkeypatch):
+        tpk, shares, ct, honest = committee
+        cheat = _tampered(
+            "wrong_partial_proved_with_the_share", honest[2], honest[0], 7,
+            tpk, ct, shares[2],
+        )
+        items = honest[:2] + [cheat] + honest[3:]
+        asked = []
+        per_proof = PartialDecryptionProof.verify
+
+        def recording(proof, tpk, ciphertext, partial, *rest):
+            asked.append(partial.index)
+            return per_proof(proof, tpk, ciphertext, partial, *rest)
+
+        monkeypatch.setattr(PartialDecryptionProof, "verify", recording)
+        assert PartialDecryptionProof.verify_many(tpk, ct, items, PARAMS) == [
+            True, True, False, True
+        ]
+        assert asked == [1, 2, 3, 4]      # the combined check failed: everyone asked
+        del asked[:]
+        assert all(PartialDecryptionProof.verify_many(tpk, ct, honest, PARAMS))
+        assert asked == []                # an honest batch never gets there
+
+    def test_negated_commitment_cannot_change_the_plaintext(self, committee):
+        # The one way a batch verdict can differ from the per-proof one: a
+        # prover who knows its share negates t1 before hashing, so its
+        # ciphertext-side equation holds up to the order-2 element -1 and the
+        # combined check passes whenever its coefficient is even.  Its
+        # partial is the right one either way (the proven relation lives in
+        # the squares, where -1 is not), so TDec cannot tell.
+        tpk, shares, _, _ = committee
+        rng = random.Random(0x0DD)
+        n2 = tpk.n_squared
+        cheater = shares[0]
+        seen = set()
+        for message in range(100, 112):
+            ct = tpk.encrypt(message, rng=rng)
+            contributions = []
+            for share in shares:
+                partial = ThresholdPaillier.partial_decrypt(tpk, share, ct)
+                proof = PartialDecryptionProof.prove(tpk, ct, partial, share, PARAMS, rng)
+                contributions.append(PublicPartial(partial, proof))
+            partial = contributions[0].partial
+            base_c, base_v = PartialDecryptionProof._bases(tpk, ct)
+            w = rng.getrandbits(abs(cheater.value).bit_length() + 64)
+            t1, t2 = n2 - pow(base_c, w, n2), pow(base_v, w, n2)
+            e = PartialDecryptionProof._challenge(
+                tpk, ct, partial, cheater.verification, t1, t2, PARAMS
+            )
+            negated = PartialDecryptionProof(t1, t2, w + e * cheater.value)
+            contributions[0] = PublicPartial(partial, negated)
+            assert not negated.verify(tpk, ct, partial, cheater.verification, PARAMS)
+            verifications = {s.index: s.verification for s in shares}
+            seen.add(PartialDecryptionProof.verify_many(
+                tpk, ct,
+                [(c.partial, verifications[c.partial.index], c.proof)
+                 for c in contributions],
+                PARAMS,
+            )[0])
+            assert combine_public(
+                tpk, ct, contributions, verifications, PARAMS
+            ) == message
+        assert seen == {True, False}
 
 
 class TestPlaintextDlogEquality:

@@ -5,8 +5,11 @@ import dataclasses
 import random
 
 
+import repro.core.offline as core_offline
 from repro.circuits import CircuitBuilder, dot_product_circuit
 from repro.core import ProtocolParams, YosoMpc
+from repro.core.reencrypt import PublicPartial
+from repro.nizk import PartialDecryptionProof
 from repro.yoso.adversary import Adversary
 
 CIRCUIT = dot_product_circuit(3)
@@ -85,6 +88,49 @@ class TestPerCommitteeAttacks:
 
         result = _run(_corrupt_committee("Coff-dec", maul))
         assert result.outputs["alice"] == EXPECTED
+
+    def test_wrong_partial_under_a_wellformed_proof(self, monkeypatch):
+        # What no garbled post can do (every field is under the challenge
+        # hash, so the exact verification-value equation rejects it first):
+        # a Coff-dec member runs its own program and *proves*, with its real
+        # share, ε-partials it made up.  Only the ciphertext-side equation —
+        # the batch's combined check — objects, so the per-proof fallback
+        # has to name the member, and the other t+1 still open ε.
+        cheater = 2
+        honest_program = core_offline.decrypt_openings
+
+        def cheat(tpk, share, openings, params, rng=None):
+            partials = honest_program(tpk, share, openings, params, rng)
+            if share.index == cheater:
+                for wire, (eps_ct, _) in openings.items():
+                    partial = partials[wire]["eps"].partial
+                    wrong = dataclasses.replace(
+                        partial, value=partial.value * 4 % tpk.n_squared
+                    )
+                    partials[wire]["eps"] = PublicPartial(
+                        wrong, PartialDecryptionProof.prove(
+                            tpk, eps_ct, wrong, share, params, rng
+                        ),
+                    )
+            return partials
+
+        monkeypatch.setattr(core_offline, "decrypt_openings", cheat)
+        per_proof = PartialDecryptionProof.verify
+        named = []
+
+        def recording(proof, tpk, ciphertext, partial, *rest):
+            verdict = per_proof(proof, tpk, ciphertext, partial, *rest)
+            named.append((partial.index, verdict))
+            return verdict
+
+        monkeypatch.setattr(PartialDecryptionProof, "verify", recording)
+        result = YosoMpc(PARAMS, rng=random.Random(91)).run(CIRCUIT, INPUTS)
+        assert result.outputs["alice"] == EXPECTED
+        # One fallback per mauled ε-batch, the cheater rejected in each and
+        # nobody else anywhere; honest batches never reach the fallback.
+        assert len(named) == PARAMS.n * CIRCUIT.n_multiplications
+        assert {index for index, ok in named if not ok} == {cheater}
+        assert [ok for index, ok in named if index == cheater].count(True) == 0
 
     def test_corrupt_reencryption_bundles(self):
         # Swap the chunks of every re-encryption: recipients' designated-
