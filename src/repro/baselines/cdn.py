@@ -13,7 +13,7 @@ depth, out.  Every step the baseline shares with the main protocol *is*
 the main protocol's code (Beaver draw-encrypt-prove, verified
 contribution sums, ε/δ opening, output delivery, the
 :class:`~repro.core.resharing.Handoff` chain), so the comparison in
-``benchmarks/bench_vs_cdn.py`` is apples-to-apples.
+claim ``E3`` (``benchmarks/claims.py``) is apples-to-apples.
 """
 
 from __future__ import annotations

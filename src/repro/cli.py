@@ -8,7 +8,6 @@ Commands
 ``run``          execute the MPC protocol on a serialized circuit
 ``demo``         a self-contained dot-product run
 ``trace``        traced run: per-phase wall-clock + op counters + comm bytes
-``extrapolate``  deployment-scale online bytes/gate prediction
 ``cost``         symbolic cost model: formulas, evaluation, extrapolation
 ``serve``        client-aided service: epochs of ingest → evaluate → reshare
 ``announce``     write the epoch-0 announcement a ``serve`` run will open

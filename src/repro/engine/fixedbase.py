@@ -46,7 +46,7 @@ MIN_EXPONENT_BITS = 96
 
 #: Sightings of one ``(base, modulus)`` before it gets a table, and the
 #: window of that first table.  A ``w=5`` build costs ~6 native
-#: exponentiations and breaks even after ~8 uses (BENCH_engine.json);
+#: exponentiations and breaks even after ~8 uses (claims.py row M3b);
 #: promoting at 32 keeps per-ciphertext bases (12–18 uses each, thousands
 #: of them per run) out of the store, where they would cost more memory
 #: churn than they save.

@@ -2,7 +2,7 @@
 
 :data:`TABLE1_PAPER` transcribes the published table verbatim (None = ⊥);
 :func:`generate_table1` recomputes every cell from the Section 6 analysis.
-The bench ``benchmarks/bench_table1.py`` prints both side by side and
+Claim ``T1`` of ``benchmarks/claims.py`` prints both side by side and
 EXPERIMENTS.md records the deltas.
 """
 

@@ -130,6 +130,10 @@ class TestMlp:
             weights, biases, x
         )
 
+    def test_inference_layers_fill_their_batches(self):
+        # Every layer's products share a depth and 16·16, 16·10 divide by k.
+        assert compile_circuit(mlp_circuit([16, 16, 10]), 8).slot_utilization() == 1.0
+
     def test_flatten_model_validation(self):
         with pytest.raises(CircuitError):
             flatten_model([[[1, 2]]], [])

@@ -59,6 +59,7 @@ class TestSeries:
         assert len(feasible) >= 4
         gaps = [p.epsilon for p in feasible]
         assert gaps == sorted(gaps, reverse=True)  # more corruption, less gap
+        assert not points[-1].feasible  # f = 0.30 is beyond reach at C = 20000
 
     def test_gap_series_marks_infeasible_tail(self):
         points = gap_series(1000)
@@ -70,6 +71,7 @@ class TestSeries:
         ks = [k for _, k in series if k is not None]
         assert ks == sorted(ks)
         assert ks[-1] > 100 * 1  # large committees, large savings
+        assert ks[-1] > 5 * ks[0]  # ... and they compound with scale
 
     def test_feasible_region_shape(self):
         region = feasible_region((1000, 20000), (0.05, 0.25))
@@ -83,7 +85,10 @@ class TestSeries:
         assert analyze(20000, f_max).epsilon > 0
 
     def test_max_tolerable_grows_with_committee(self):
-        assert max_tolerable_corruption(40000) > max_tolerable_corruption(5000)
+        frontier = [max_tolerable_corruption(c) for c in (1000, 5000, 20000, 40000)]
+        assert frontier == sorted(frontier)
+        assert 0.05 < frontier[0] < 0.10    # Table 1: f = 0.05 feasible, f = 0.10 is ⊥
+        assert 0.20 < frontier[-1] < 0.30   # f = 0.25 is the last feasible row
 
     def test_tiny_committee_infeasible(self):
         with pytest.raises(SortitionError):

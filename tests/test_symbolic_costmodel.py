@@ -38,6 +38,7 @@ from repro.core import run_mpc
 from repro.core.params import ProtocolParams
 from repro.core.protocol import YosoMpc
 from repro.extensions import ItYosoMpc
+from repro.wire.sizes import vlen_function
 
 
 def _formula_bytes_by_variant(result):
@@ -357,3 +358,45 @@ class TestFormulas:
             nominals = [builder(ctx, post.payload) for ctx in walks]
             assert nominals[0] == nominals[1]
             assert walks[0].actual == walks[1].actual == len(post.envelope().body)
+
+
+class TestAsymptotics:
+    """Thm 1 and §1.1.1 read off the catalog's own expressions.
+
+    Every honest run asserts measured == formula per envelope, so these
+    turn E1 / E3 of EXPERIMENTS.md from a slope fitted on n ≤ 12 into
+    formula ∈ O(1) / Θ(n).  Constants: the moduli are fixed at deployment
+    widths (``MODULI``), which makes every ``ceiling`` an integer, and every
+    ``Vlen`` left — the varint length of a count or a header length, at most
+    10 bytes below 2^70 — is one symbol ``V`` with 1 ≤ V ≤ 10.  A committee
+    is n members posting one envelope each; per-post framing is amortised
+    over the gates of the committee's depth.
+    """
+
+    MODULI = {"te": 2048, "rb": 2048, "ch": 128, "st": 80, "OB": 4400, "Zpd": 4600}
+    V = sympy.Symbol("V", positive=True)
+
+    def bounded(self, variant):
+        fixed = formula_catalog()[variant].xreplace(
+            {sym(name): sympy.Integer(value) for name, value in self.MODULI.items()}
+        )
+        assert not fixed.has(sympy.ceiling), variant
+        return fixed.replace(lambda e: isinstance(e, vlen_function()), lambda e: self.V)
+
+    def test_core_online_bytes_per_gate_have_degree_0_in_n(self):
+        """k = n/r gates per batch, Nb batches in the depth: n cancels."""
+        n, batches, r = sym("n"), sym("Nb"), sympy.Symbol("r", positive=True)
+        committee = n * self.bounded("online.mu_shares")
+        per_gate = sympy.expand(committee / ((n / r) * batches))
+        assert sympy.Poly(per_gate, n).degree() == 0
+        # What is left: a constant entry cost times n/k, plus framing / Nb.
+        entry = sympy.limit(per_gate, batches, sympy.oo) / r
+        assert entry.is_Integer and entry > 0
+
+    def test_cdn_eval_bytes_per_gate_have_degree_1_in_n(self):
+        """Gd = w·n gates in the depth (the width that amortises the tsk hand-off)."""
+        n, gates, w = sym("n"), sym("Gd"), sympy.Symbol("w", positive=True)
+        committee = n * self.bounded("cdn.eval")
+        per_gate = sympy.Poly(sympy.expand((committee / gates).subs(gates, w * n)), n)
+        assert per_gate.degree() == 1
+        assert per_gate.LC().as_expr().is_positive  # partials + proofs per member per gate
