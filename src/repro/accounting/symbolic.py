@@ -72,7 +72,7 @@ from repro.wire.sizes import (
     envelope_nominal,
     envelope_wire_len,
     int_nominal,
-    int_wire_len,
+    ints_wire_len,
     seq_nominal,
     str_wire_len,
     varint_len,
@@ -167,22 +167,44 @@ class _Space:
 
 # -- the dual-mode walking context -------------------------------------------
 
+#: Collected int leaves an ``ints`` vector prices at once when it brings
+#: the pending count to this: enough to amortise the one expression that
+#: prices them, few enough that the walk's scratch memory stays negligible.
+_INT_BATCH = 1 << 14
+
+
 class _SizeCtx:
     """Accumulates exact bytes (concrete) while returning nominal sizes.
 
     Every leaf method returns the *nominal* size (an int or sympy
     expression built from declared widths) and, when walking a concrete
     payload, adds the *actual* encoded size of the live value to
-    ``self.actual``.  ``ghosted()`` suppresses the actual accumulation so
-    ``repeat`` can price one archetypal item for the closed form.
+    ``actual``.  ``ghosted()`` suppresses the actual accumulation so
+    ``repeat`` can price one archetypal item for the closed form; while
+    ``repeat`` walks the live items themselves, whose nominal nobody
+    reads, the leaves only accumulate.  Int leaves are collected and
+    priced together (``ints_wire_len``) when ``actual`` is read.
     """
 
     def __init__(self, space: _Space) -> None:
         self.P = space
         self.symbolic = space._symbolic
         self.bindings: dict[str, int] = {}
-        self.actual = 0
+        self._bytes = 0
+        self._ints: list[int] = []
         self._ghost = 0
+        self._walking = 0
+
+    @property
+    def actual(self) -> int:
+        """Exact encoded bytes of every leaf walked live so far."""
+        self._price_ints()
+        return self._bytes
+
+    def _price_ints(self) -> None:
+        if self._ints:
+            self._bytes += ints_wire_len(self._ints)
+            self._ints = []
 
     @contextmanager
     def ghosted(self) -> Any:
@@ -197,7 +219,7 @@ class _SizeCtx:
 
     def _acc(self, n_bytes: int) -> None:
         if self._live():
-            self.actual += n_bytes
+            self._bytes += n_bytes
 
     def bind(self, name: str, value: Callable[[], int] | int) -> Any:
         """A run-bound symbol: glossary symbol here, payload value there."""
@@ -212,7 +234,9 @@ class _SizeCtx:
     def intv(self, value: int | None, bits: Any) -> Any:
         if self._live():
             assert value is not None, "live walk reached an absent int leaf"
-            self._acc(int_wire_len(value))
+            self._ints.append(value)
+            if self._walking:
+                return 0
         return int_nominal(bits)
 
     def ints(self, values: Any, count: Any, bits: Any) -> Any:
@@ -225,7 +249,11 @@ class _SizeCtx:
                 raise CostExactnessError(
                     f"expected {count} items, payload has {len(values)}"
                 )
-            self.actual += sum(map(int_wire_len, values))
+            self._ints.extend(values)
+            if len(self._ints) >= _INT_BATCH:
+                self._price_ints()
+            if self._walking:
+                return 0
         return count * int_nominal(bits)
 
     def keyed_ints(self, items: Any, count: Any, bits: Any) -> Any:
@@ -248,26 +276,34 @@ class _SizeCtx:
     def strn(self, value: str | None, nominal_len: int) -> Any:
         if self._live():
             assert value is not None, "live walk reached an absent str leaf"
-            self._acc(str_wire_len(value))
+            self._bytes += str_wire_len(value)
+            if self._walking:
+                return 0
         return 1 + varint_len(nominal_len) + nominal_len
 
     def strv(self, value: str | None, nominal_len: Any) -> Any:
         """A string priced by a run-bound length — nominal is exact."""
         if self._live():
             assert value is not None, "live walk reached an absent str leaf"
-            self._acc(str_wire_len(value))
+            self._bytes += str_wire_len(value)
+            if self._walking:
+                return 0
         return 1 + vlen(nominal_len) + nominal_len
 
     def byt(self, value: bytes | None, length: Any) -> Any:
         if self._live():
             assert value is not None, "live walk reached an absent bytes leaf"
-            self._acc(bytes_wire_len(value))
+            self._bytes += bytes_wire_len(value)
+            if self._walking:
+                return 0
         return bytes_nominal(length)
 
     def ct(self, value: Any, modulus_bits: Any) -> Any:
         if self._live():
             assert value is not None, "live walk reached an absent ciphertext"
-            self._acc(ct_wire_len(value))
+            self._bytes += ct_wire_len(value)
+            if self._walking:
+                return 0
         return ct_nominal(modulus_bits)
 
     def obj(self, n_fields: int) -> int:
@@ -279,7 +315,9 @@ class _SizeCtx:
         """List/tuple/dict header: tag byte + element-count varint."""
         if self._live():
             count = actual_count if actual_count is not None else nominal_count
-            self._acc(1 + varint_len(int(count)))
+            self._bytes += 1 + varint_len(int(count))
+            if self._walking:
+                return 0
         return seq_nominal(nominal_count)
 
     def str_pool(self, keys: Any, count: Any, total_len: Any) -> Any:
@@ -292,7 +330,7 @@ class _SizeCtx:
                     raise CostExactnessError(
                         f"key {key!r} exceeds one-byte varint range"
                     )
-                self._acc(1 + 1 + raw)
+                self._bytes += 1 + 1 + raw
         return 2 * count + total_len
 
     def repeat(
@@ -309,8 +347,14 @@ class _SizeCtx:
                 raise CostExactnessError(
                     f"expected {count} items, payload has {len(items)}"
                 )
-            for item in items:
-                fn(item)
+            self._walking += 1
+            try:
+                for item in items:
+                    fn(item)
+            finally:
+                self._walking -= 1
+            if self._walking:
+                return 0  # an item of an enclosing walk: its nominal is unread
         with self.ghosted():
             per_item = fn(None)
         return count * per_item
@@ -690,15 +734,22 @@ def _b_online_keys(ctx: _SizeCtx, p: Any) -> Any:
     return n
 
 
-def _b_online_input(ctx: _SizeCtx, p: Any) -> Any:
-    P = ctx.P
-    ni = ctx.bind("Ni", lambda: len(p["mu"]))
-    n = ctx.seq(1, None if p is None else len(p))
-    n += ctx.strf("mu")
-    items = _dict_items(p, "mu")
-    n += ctx.seq(ni, None if items is None else len(items))
-    n += ctx.keyed_ints(items, ni, P.te)
-    return n
+def _b_keyed(
+    section: str, count: str, bits: str
+) -> Callable[[_SizeCtx, Any], Any]:
+    """A one-section payload ``{section: {small key: int}}`` with ``count``
+    entries of ``bits``-wide ints (the μ broadcasts, the IT μ^γ shares)."""
+
+    def build(ctx: _SizeCtx, p: Any) -> Any:
+        c = ctx.bind(count, lambda: len(p[section]))
+        n = ctx.seq(1, None if p is None else len(p))
+        n += ctx.strf(section)
+        items = _dict_items(p, section)
+        n += ctx.seq(c, None if items is None else len(items))
+        n += ctx.keyed_ints(items, c, getattr(ctx.P, bits))
+        return n
+
+    return build
 
 
 def _b_mu_shares(ctx: _SizeCtx, p: Any) -> Any:
@@ -826,28 +877,6 @@ def _b_it_p2(ctx: _SizeCtx, p: Any) -> Any:
     return n
 
 
-def _b_it_input(ctx: _SizeCtx, p: Any) -> Any:
-    P = ctx.P
-    ni = ctx.bind("Ni", lambda: len(p["mu"]))
-    n = ctx.seq(1, None if p is None else len(p))
-    n += ctx.strf("mu")
-    items = _dict_items(p, "mu")
-    n += ctx.seq(ni, None if items is None else len(items))
-    n += ctx.keyed_ints(items, ni, P.fb)
-    return n
-
-
-def _b_it_mul(ctx: _SizeCtx, p: Any) -> Any:
-    P = ctx.P
-    nb = ctx.bind("Nb", lambda: len(p["mu_shares"]))
-    n = ctx.seq(1, None if p is None else len(p))
-    n += ctx.strf("mu_shares")
-    items = _dict_items(p, "mu_shares")
-    n += ctx.seq(nb, None if items is None else len(items))
-    n += ctx.keyed_ints(items, nb, P.fb)
-    return n
-
-
 def _b_client_input(ctx: _SizeCtx, p: Any) -> Any:
     """ClientInput(client_id, epoch, ciphertexts, proofs) — one per client."""
     P = ctx.P
@@ -972,7 +1001,7 @@ _SPECS: tuple[EnvelopeSpec, ...] = (
     EnvelopeSpec(
         "online.input", "online.input",
         "a client's μ = v + λ broadcast per input wire",
-        _b_online_input, _tag_starts("input:"),
+        _b_keyed("mu", "Ni", "te"), _tag_starts("input:"),
     ),
     EnvelopeSpec(
         "online.mu_shares", "online.mu_shares",
@@ -1027,12 +1056,12 @@ _SPECS: tuple[EnvelopeSpec, ...] = (
     EnvelopeSpec(
         "it.messages", "it.input",
         "IT client μ broadcast per input wire",
-        _b_it_input, _tag_is("It-input"),
+        _b_keyed("mu", "Ni", "fb"), _tag_is("It-input"),
     ),
     EnvelopeSpec(
         "it.messages", "it.mul",
         "IT per-depth μ^γ field-element shares",
-        _b_it_mul, _tag_starts("It-mul-"),
+        _b_keyed("mu_shares", "Nb", "fb"), _tag_starts("It-mul-"),
     ),
     EnvelopeSpec(
         "service.client_input", "service.client_input",

@@ -272,7 +272,7 @@ class CdnYosoMpc:
             tsk_posts = env.posts_by_index(committee)
 
             opened = combine_openings(
-                tpk, openings, tsk_posts, verifications, proof_params
+                tpk, openings, tsk_posts, verifications, handoff.epoch, proof_params
             )
             # z = εδ − ε·b − δ·a + c, one engine batch across the depth.
             z_cts = teval_many(tpk, [
@@ -306,7 +306,7 @@ class CdnYosoMpc:
         env.run_committee(out_committee, program_out)
         outputs = program.outputs_by_client(recover_outputs(
             tpk, env.posts_by_index(out_committee), wire_cipher, recipients,
-            handoff.verifications, proof_params,
+            handoff.verifications, handoff.epoch, proof_params,
         ))
 
         result = CdnResult(

@@ -16,16 +16,19 @@ free of encryption, and (b) the non-YOSO communication baseline.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from repro.accounting.comm import CommMeter
 from repro.circuits.circuit import Circuit, GateType
 from repro.circuits.program import CircuitProgram, compile_circuit
 from repro.errors import ParameterError
-from repro.fields.ring import Zmod, ZmodElement
-from repro.packed_online import MuTracker, mu_gamma_share
+from repro.fields.ring import Zmod
+from repro.packed_online import MuTracker, mu_gamma_share, slot_values
 from repro.rng import fresh_rng
+from repro.sharing.kernel import add_mod, mul_mod, row_dtype
 from repro.sharing.packed import packed_scheme
 
 
@@ -48,10 +51,10 @@ KINDS = ("left", "right", "gamma")
 class _Preprocessing:
     """What the trusted dealer hands out."""
 
-    #: wire-indexed masks λ
-    lambdas: list[ZmodElement | None]
-    #: (batch, kind) -> packed sharing (row of one int share per party)
-    packed: dict[tuple[int, str], list[int]] = field(default_factory=dict)
+    #: wire-indexed masks λ (a table of ring values)
+    lambdas: np.ndarray
+    #: kind -> every batch's packed sharing (batch × party shares)
+    packed: dict[str, np.ndarray]
 
 
 class TurbopackSimulator:
@@ -79,37 +82,33 @@ class TurbopackSimulator:
     # -- dealer -------------------------------------------------------------
 
     def _deal(self, program: CircuitProgram) -> _Preprocessing:
-        prep = _Preprocessing(lambdas=[None] * program.n_gates)
-        ring, rng = self.ring, self.rng
+        ring, rng, q = self.ring, self.rng, self.ring.modulus
+        dtype = row_dtype(q)
         # Draw the fresh masks in wire order (the dealer's historical rng
         # stream: linear gates never draw), then extend them by the mask rule.
-        for w, gate in enumerate(program.circuit.gates):
-            if gate.kind in (GateType.INPUT, GateType.MUL):
-                prep.lambdas[w] = ring.random(rng)
-        program.propagate_linear(ring, prep.lambdas, masks=True)
-        degree = self.t + self.k - 1
+        fresh = [
+            w for w, gate in enumerate(program.circuit.gates)
+            if gate.kind in (GateType.INPUT, GateType.MUL)
+        ]
+        lambdas = np.zeros(program.n_gates, dtype=dtype)
+        known = np.zeros(program.n_gates, dtype=bool)
+        lambdas[fresh] = [ring.random_value(rng) for _ in fresh]
+        known[fresh] = True
+        program.propagate_linear(lambdas, known, q, masks=True)
+        left, right, out = (
+            slot_values(lambdas, program.batch_wires[:, side]) for side in range(3)
+        )
+        # Γ = λ^α·λ^β − λ^γ, zero on the padding slots.
+        gamma = add_mod(mul_mod(left, right, q), q - out, q)
         # All (batch, kind) vectors share one batched dealing; the rng
         # stream matches the historical left/right/gamma per-batch order.
-        keys: list[tuple[int, str]] = []
-        vectors: list[list[int]] = []
-        lam = [None if v is None else v.value for v in prep.lambdas]
-        for batch in program.plan.mul_batches:
-            pad = [0] * (self.k - len(batch.gate_wires))
-            left = [lam[w] for w in batch.left_wires] + pad
-            right = [lam[w] for w in batch.right_wires] + pad
-            gamma = [
-                (lam[a] * lam[b] - lam[g]) % ring.modulus
-                for a, b, g in zip(
-                    batch.left_wires, batch.right_wires, batch.gate_wires
-                )
-            ] + pad
-            for kind, vector in zip(KINDS, (left, right, gamma)):
-                keys.append((batch.batch_id, kind))
-                vectors.append(vector)
-        prep.packed.update(
-            zip(keys, self.scheme.share_many(vectors, degree=degree, rng=rng))
+        shares = np.asarray(self.scheme.share_many(
+            np.stack([left, right, gamma], axis=1).reshape(-1, self.k),
+            degree=self.t + self.k - 1, rng=rng,
+        ), dtype=dtype)
+        return _Preprocessing(
+            lambdas, {kind: shares[j::3] for j, kind in enumerate(KINDS)}
         )
-        return prep
 
     # -- online -------------------------------------------------------------
 
@@ -127,7 +126,7 @@ class TurbopackSimulator:
         # Input: each client learns λ (from the dealer) and broadcasts μ.
         values = program.evaluate(ring, inputs).wire_values
         for w in circuit.input_wires:
-            tracker.set(w, values[w] - prep.lambdas[w])
+            tracker.set(w, int(values[w]) - int(prep.lambdas[w]))
             meter.record_exact(
                 "online", f"client:{circuit.gates[w].client}", "input-mu",
                 element_bytes,
@@ -137,27 +136,24 @@ class TurbopackSimulator:
         product_degree = self.t + 2 * (self.k - 1)
         for depth in program.mul_depths:
             batches = program.depth_batches[depth]
+            ids = [batch.batch_id for batch in batches]
+            # One cached-matrix product gives every party's canonical μ
+            # shares of the whole depth, one element-wise evaluation every
+            # party's μ^γ share.
+            mu_left, mu_right = tracker.canonical_shares(self.scheme, batches)
+            values_out = mu_gamma_share(
+                mu_left, mu_right,
+                *(prep.packed[kind][ids] for kind in KINDS), ring.modulus,
+            )
             shares: list[list[tuple[int, int]]] = []
-            for batch in batches:
-                # One cached-matrix product gives every party's canonical
-                # μ shares at once.
-                ((mu_left, mu_right),) = tracker.canonical_shares(
-                    self.scheme, [batch]
-                )
-                packed = [prep.packed[(batch.batch_id, kind)] for kind in KINDS]
-                posted = []
-                for i, (ml, mr, ll, rr, gg) in enumerate(
-                    zip(mu_left, mu_right, *packed), start=1
-                ):
-                    # Each party sends exactly one share to P1 (the
-                    # Turbopack single-receiver trick).
+            for row in values_out.tolist():
+                # Each party sends exactly one share to P1 (the Turbopack
+                # single-receiver trick).
+                for i in range(1, self.n + 1):
                     meter.record_exact(
                         "online", f"party{i}", "mu-share-to-p1", element_bytes
                     )
-                    posted.append(
-                        (i, mu_gamma_share(ml, mr, ll, rr, gg, ring.modulus))
-                    )
-                shares.append(posted)
+                shares.append(list(enumerate(row, start=1)))
             tracker.open_batches(self.scheme, batches, shares, product_degree)
             for _ in batches:
                 # P1 broadcasts the k reconstructed μ values.
@@ -169,9 +165,9 @@ class TurbopackSimulator:
         outputs: dict[str, list[int]] = {}
         for w in circuit.output_wires:
             client = circuit.gates[w].client
-            value = tracker.get(w) + prep.lambdas[w]
+            value = (tracker.get(w) + int(prep.lambdas[w])) % ring.modulus
             meter.record_exact("online", "dealer", "output-lambda", element_bytes)
-            outputs.setdefault(client, []).append(int(value))
+            outputs.setdefault(client, []).append(value)
         return TurbopackResult(
             outputs=outputs, n=self.n, t=self.t, k=self.k, meter=meter
         )

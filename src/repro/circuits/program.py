@@ -26,19 +26,19 @@ actually execute:
 Compilation is deterministic and cached on the circuit instance keyed by
 ``k`` (circuits are immutable; the cache re-validates the gate tuple's
 identity, so a mutated-in-place circuit recompiles instead of serving a
-stale program).  ``CircuitProgram.evaluate`` is the vectorized plaintext
-path — bit-identical to :meth:`Circuit.evaluate` by construction, which
-the property tests pin on random circuits.  The linear-gate rules the
-protocols apply between multiplications are written once, here
-(``propagate_linear`` / ``propagate_linear_batched``).
+stale program).  The linear-gate rules the protocols apply between
+multiplications are written once, here (``propagate_linear`` over tables
+of ring values, ``propagate_linear_batched`` over ciphertexts).
 """
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Callable, Iterator, Mapping, MutableMapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TypeVar, Union
+
+import numpy as np
 
 from repro.circuits.circuit import (
     Circuit,
@@ -50,9 +50,10 @@ from repro.circuits.layering import (
     MultiplicationBatch,
     plan_batches,
 )
-from repro.errors import CircuitError, ProtocolAbortError
+from repro.errors import ProtocolAbortError
 from repro.fields import Zmod, ZmodElement
 from repro.observability import hooks as _hooks
+from repro.sharing.kernel import add_mod, mul_mod
 
 __all__ = [
     "CircuitProgram",
@@ -71,6 +72,13 @@ V = TypeVar("V")
 _BINARY_KINDS = frozenset((GateType.ADD, GateType.SUB, GateType.MUL))
 _CONST_KINDS = frozenset((GateType.CADD, GateType.CMUL))
 _CLIENT_KINDS = frozenset((GateType.INPUT, GateType.OUTPUT))
+_LINEAR_KINDS = frozenset(
+    (GateType.ADD, GateType.SUB, GateType.CMUL, GateType.CADD, GateType.OUTPUT)
+)
+
+#: One linear (layer, kind) run as index arrays: kind, wires, src0, src1,
+#: const_index (the last two empty where the kind has none).
+LinearRun = tuple[GateType, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -183,66 +191,13 @@ class CircuitProgram:
             out[depth] = len(self.muls_by_depth[depth]) / slots if slots else 1.0
         return out
 
-    def constants_of(self, run: GateRun) -> list[int]:
-        """Materialize a CADD/CMUL run's per-gate constants."""
-        table = self.constants
-        return [table[i] for i in run.const_index]
-
-    # -- vectorized plaintext evaluation ------------------------------------
+    # -- plaintext evaluation -------------------------------------------------
 
     def evaluate(
         self, ring: Zmod, inputs: Mapping[str, Sequence[Union[int, ZmodElement]]]
     ) -> CircuitEvaluation:
-        """Run-at-a-time plaintext evaluation, ≡ :meth:`Circuit.evaluate`."""
-        values: list[ZmodElement] = [ring.zero] * self.n_gates
-        cursors = {client: 0 for client in inputs}
-        const_cache = [ring.element(c) for c in self.constants]
-        for layer in self.layers:
-            for run in layer.runs:
-                kind = run.kind
-                if kind is GateType.INPUT:
-                    for w, client in zip(run.wires, run.clients):
-                        if client not in inputs:
-                            raise CircuitError(
-                                f"no inputs supplied for client {client!r}"
-                            )
-                        idx = cursors[client]
-                        supplied = inputs[client]
-                        if idx >= len(supplied):
-                            raise CircuitError(
-                                f"client {client!r} supplied {len(supplied)} "
-                                f"inputs, needs more"
-                            )
-                        values[w] = ring.element(supplied[idx])
-                        cursors[client] = idx + 1
-                elif kind is GateType.ADD:
-                    for w, a, b in zip(run.wires, run.src0, run.src1):
-                        values[w] = values[a] + values[b]
-                elif kind is GateType.SUB:
-                    for w, a, b in zip(run.wires, run.src0, run.src1):
-                        values[w] = values[a] - values[b]
-                elif kind is GateType.CADD:
-                    for w, a, ci in zip(run.wires, run.src0, run.const_index):
-                        values[w] = values[a] + const_cache[ci]
-                elif kind is GateType.CMUL:
-                    for w, a, ci in zip(run.wires, run.src0, run.const_index):
-                        values[w] = values[a] * const_cache[ci]
-                elif kind is GateType.MUL:
-                    for w, a, b in zip(run.wires, run.src0, run.src1):
-                        values[w] = values[a] * values[b]
-                else:  # OUTPUT
-                    for w, a in zip(run.wires, run.src0):
-                        values[w] = values[a]
-        for client, supplied in inputs.items():
-            if cursors.get(client, 0) != len(supplied):
-                raise CircuitError(
-                    f"client {client!r} supplied {len(supplied)} inputs, "
-                    f"circuit consumed {cursors.get(client, 0)}"
-                )
-        outputs = self.outputs_by_client(values)
-        return CircuitEvaluation(
-            tuple(values), {c: tuple(v) for c, v in outputs.items()}
-        )
+        """The reference plaintext evaluation, :meth:`Circuit.evaluate`."""
+        return self.circuit.evaluate(ring, inputs)
 
     # -- the client-facing ends of a protocol run ----------------------------
 
@@ -268,6 +223,41 @@ class CircuitProgram:
             for segment in self.output_segments
         }
 
+    # -- array tables -------------------------------------------------------
+    #
+    # Derived from the layers and the plan on first use (a program rebuilt
+    # by ``loads_program`` gets them the same way).
+
+    @cached_property
+    def linear_runs(self) -> tuple[LinearRun, ...]:
+        """Every ADD/SUB/CMUL/CADD/OUTPUT run as index arrays, layer order:
+        ``(kind, wires, src0, src1, const_index)``."""
+        empty = np.zeros(0, dtype=np.intp)
+        return tuple(
+            (
+                run.kind,
+                np.array(run.wires, dtype=np.intp),
+                np.array(run.src0, dtype=np.intp),
+                np.array(run.src1, dtype=np.intp) if run.src1 else empty,
+                np.array(run.const_index, dtype=np.intp) if run.const_index else empty,
+            )
+            for layer in self.layers
+            for run in layer.runs
+            if run.kind in _LINEAR_KINDS
+        )
+
+    @cached_property
+    def batch_wires(self) -> np.ndarray:
+        """``(batches, 3, k)``: each multiplication batch's left, right and
+        gate wires slot by slot, batch-id order, ``-1`` on padding slots."""
+        table = np.full((len(self.plan.mul_batches), 3, self.k), -1, dtype=np.intp)
+        for batch in self.plan.mul_batches:
+            for side, wires in enumerate(
+                (batch.left_wires, batch.right_wires, batch.gate_wires)
+            ):
+                table[batch.batch_id, side, : len(wires)] = wires
+        return table
+
     # -- linear-gate propagation --------------------------------------------
     #
     # The rules every evaluator applies between multiplications: ADD/SUB
@@ -278,33 +268,37 @@ class CircuitProgram:
     # unknown until a later pass.
 
     def propagate_linear(
-        self, ring: Zmod, wires: list[ZmodElement | None], *, masks: bool
+        self, values: np.ndarray, known: np.ndarray, modulus: int, *, masks: bool
     ) -> None:
-        """Fill every linear wire of ``wires`` (wire-indexed, None = unknown).
+        """Fill every linear wire whose operands are known, in place.
 
-        ``masks`` says what the entries are: masks skip constant additions.
+        ``values`` is a wire-indexed table of ring values mod ``modulus``
+        (:func:`repro.sharing.kernel.row_dtype`) and ``known`` its boolean
+        mask; one fancy-indexed operation per (layer, kind) run — gates of
+        one layer never depend on each other.  ``masks`` says what the
+        entries are: masks skip constant additions.
         """
-        constants = [ring.element(c) for c in self.constants]
-        for layer in self.layers:
-            for run in layer.runs:
-                kind = run.kind
-                if kind is GateType.ADD or kind is GateType.SUB:
-                    op = operator.add if kind is GateType.ADD else operator.sub
-                    for w, a, b in zip(run.wires, run.src0, run.src1):
-                        if wires[w] is None:
-                            va, vb = wires[a], wires[b]
-                            if va is not None and vb is not None:
-                                wires[w] = op(va, vb)
-                elif kind is GateType.CMUL or (kind is GateType.CADD and not masks):
-                    op = operator.mul if kind is GateType.CMUL else operator.add
-                    for w, a, ci in zip(run.wires, run.src0, run.const_index):
-                        va = wires[a]
-                        if wires[w] is None and va is not None:
-                            wires[w] = op(va, constants[ci])
-                elif kind is GateType.CADD or kind is GateType.OUTPUT:
-                    for w, a in zip(run.wires, run.src0):
-                        if wires[w] is None:
-                            wires[w] = wires[a]
+        constants = np.array(
+            [c % modulus for c in self.constants], dtype=values.dtype
+        )
+        for kind, wires, src0, src1, const_index in self.linear_runs:
+            ready = known[src0] & ~known[wires]
+            if kind is GateType.ADD or kind is GateType.SUB:
+                ready &= known[src1]
+            if not ready.any():
+                continue
+            w, a = wires[ready], values[src0[ready]]
+            if kind is GateType.ADD:
+                values[w] = add_mod(a, values[src1[ready]], modulus)
+            elif kind is GateType.SUB:
+                values[w] = add_mod(a, modulus - values[src1[ready]], modulus)
+            elif kind is GateType.CMUL:
+                values[w] = mul_mod(a, constants[const_index[ready]], modulus)
+            elif kind is GateType.CADD and not masks:
+                values[w] = add_mod(a, constants[const_index[ready]], modulus)
+            else:  # OUTPUT, or CADD on masks
+                values[w] = a
+            known[w] = True
 
     def propagate_linear_batched(
         self,

@@ -421,7 +421,7 @@ def run_offline(
     )
     state.verifications[2] = state.handoffs[1].verifications
     state.epsilon_delta = combine_openings(
-        tpk, openings, posts_dec, state.verifications[1], proof_params
+        tpk, openings, posts_dec, state.verifications[1], 1, proof_params
     )
 
     # c^Γ = TEval((c^β, c^a, c^c, c^γ), (ε, −δ, 1, −1)), all gates batched.

@@ -205,7 +205,7 @@ def run_online(
         limbs = [
             recover_reencrypted(
                 tpk, chunk_ct, online.kff_bundles[tag][idx], sk,
-                offline.verifications[3], proof_params,
+                offline.verifications[3], 3, proof_params,
             )
             for idx, chunk_ct in enumerate(entry.encrypted_prime)
         ]
@@ -218,7 +218,7 @@ def run_online(
             for wire, value in zip(wires, supplied):
                 lam = recover_reencrypted(
                     tpk, offline.wire_cipher[wire], offline.input_bundles[wire],
-                    kff_sk, offline.verifications[2], proof_params,
+                    kff_sk, offline.verifications[2], 2, proof_params,
                 )
                 mu[wire] = (int(value) - lam) % tpk.n
             view.speak(f"input:{client}", {"mu": mu})
@@ -262,9 +262,9 @@ def run_online(
                         ]
                         lam[kind] = recover_reencrypted(
                             tpk, ciphertext, offline.packed_bundles[key], kff_sk,
-                            offline.verifications[2], proof_params,
+                            offline.verifications[2], 2, proof_params,
                         )
-                    ((mu_left, mu_right),) = online.tracker.canonical_shares(
+                    (mu_left,), (mu_right,) = online.tracker.canonical_shares(
                         scheme, [batch], view.index
                     )
                     value = mu_gamma_share(
@@ -348,7 +348,7 @@ def run_online(
     env.run_committee(out_committee, program_out)
     masks = recover_outputs(
         tpk, env.posts_by_index(out_committee), offline.wire_cipher, recipients,
-        out_handoff.verifications, proof_params,
+        out_handoff.verifications, out_handoff.epoch, proof_params,
     )
 
     online.outputs = program.outputs_by_client({

@@ -139,21 +139,23 @@ def _combine_verified(
     ciphertext: PaillierCiphertext,
     candidates: Sequence[tuple[PartialDecryption, PartialDecryptionProof]],
     sender_verifications: dict[int, int],
+    epoch: int,
     params: ProofParams,
     what: str,
 ) -> int:
     """TDec over the candidates whose proofs verify, checked as one batch.
 
-    A candidate claiming an unknown sender is dropped; of several verified
-    ones under one sender index (a member re-posting another's valid
-    contribution) the first is kept, so a copycat cannot abort the
-    combination.  Raises :class:`ProtocolAbortError` if fewer than t+1
-    senders are left — which the corruption bound rules out.
+    A candidate claiming an unknown sender, or an epoch other than
+    ``epoch`` (that of ``sender_verifications``), is dropped: a proof binds
+    any label, and mixed epochs would abort TDec.  Of several verified
+    under one sender index the first is kept, so a copycat cannot abort it
+    either.  Raises :class:`ProtocolAbortError` if fewer than t+1 senders
+    are left — which the corruption bound rules out.
     """
     items = [
         (partial, sender_verifications[partial.index], proof)
         for partial, proof in candidates
-        if partial.index in sender_verifications
+        if partial.index in sender_verifications and partial.epoch == epoch
     ]
     verdicts = PartialDecryptionProof.verify_many(tpk, ciphertext, items, params)
     verified: dict[int, PartialDecryption] = {}
@@ -174,12 +176,13 @@ def recover_reencrypted(
     contributions: list[EncryptedPartial],
     recipient_sk: PaillierSecretKey,
     sender_verifications: dict[int, int],
+    epoch: int,
     params: ProofParams,
 ) -> int:
     """Recipient side of Re-encrypt: decrypt, verify, combine -> plaintext.
 
-    Contributions failing proof verification (or claiming unknown senders)
-    are silently dropped; with an honest majority at least t+1 survive.
+    Contributions failing proof verification (or claiming unknown senders
+    or another epoch) are silently dropped; at least t+1 survive.
     Raises :class:`ProtocolAbortError` only if fewer than t+1 verify —
     which the corruption bound rules out.
     """
@@ -197,7 +200,8 @@ def recover_reencrypted(
         )
         candidates.append((partial, contribution.proof))
     plaintext = _combine_verified(
-        tpk, ciphertext, candidates, sender_verifications, params, "re-encryption"
+        tpk, ciphertext, candidates, sender_verifications, epoch, params,
+        "re-encryption",
     )
     _hooks.note(_hooks.REENCRYPT_RECOVERY)
     return plaintext
@@ -227,12 +231,13 @@ def combine_public(
     ciphertext: PaillierCiphertext,
     contributions: list[PublicPartial],
     sender_verifications: dict[int, int],
+    epoch: int,
     params: ProofParams,
 ) -> int:
     """Anyone's side of Decrypt: verify proofs publicly, combine -> plaintext."""
     return _combine_verified(
         tpk, ciphertext, [(c.partial, c.proof) for c in contributions],
-        sender_verifications, params, "public",
+        sender_verifications, epoch, params, "public",
     )
 
 
@@ -297,6 +302,7 @@ def combine_openings(
     openings: Mapping[int, tuple[PaillierCiphertext, PaillierCiphertext]],
     posts: Mapping[int, Mapping],
     sender_verifications: dict[int, int],
+    epoch: int,
     params: ProofParams,
 ) -> dict[int, tuple[int, int]]:
     """Anyone's side: ``(ε, δ)`` per wire from the committee's posts."""
@@ -310,7 +316,7 @@ def combine_openings(
                     for partials in posted(posts, "partials", wire, dict)
                     if isinstance(partials.get(name), PublicPartial)
                 ],
-                sender_verifications, params,
+                sender_verifications, epoch, params,
             )
             for name, ciphertext in zip(("eps", "delta"), ciphertexts)
         )
@@ -345,13 +351,14 @@ def recover_outputs(
     wire_cipher: Mapping[int, PaillierCiphertext],
     recipients: Mapping[int, Any],
     sender_verifications: dict[int, int],
+    epoch: int,
     params: ProofParams,
 ) -> dict[int, int]:
     """Each receiving role's side: the plaintext behind every output wire."""
     return {
         w: recover_reencrypted(
             tpk, wire_cipher[w], posted(posts, "output", w, EncryptedPartial),
-            role.secret_key, sender_verifications, params,
+            role.secret_key, sender_verifications, epoch, params,
         )
         for w, role in recipients.items()
     }

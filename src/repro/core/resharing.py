@@ -290,11 +290,13 @@ class Handoff:
         params: ProofParams,
         previous_epoch: int,
     ) -> "Handoff":
-        """Read ``posts`` (payload by sender index) and verify publicly."""
+        """Read ``posts`` (payload by sender index) and verify publicly; a
+        resharing labelled with another epoch is dropped like a failed one."""
         resharings = {
             sender: payload["tsk"]
             for sender, payload in posts.items()
             if isinstance(payload.get("tsk"), EncryptedResharing)
+            and payload["tsk"].epoch == previous_epoch
         }
         contributors = verified_contributors(
             tpk, resharings, sender_verifications, recipient_pks, params
@@ -305,6 +307,11 @@ class Handoff:
             next_verifications(tpk, resharings, contributors),
             previous_epoch,
         )
+
+    @property
+    def epoch(self) -> int:
+        """The epoch of the shares handed over (``verifications``' epoch)."""
+        return self.previous_epoch + 1
 
     def receive(
         self,

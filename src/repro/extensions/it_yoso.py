@@ -52,14 +52,17 @@ import random
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
+import numpy as np
+
 from repro.accounting.comm import CommMeter
 from repro.accounting.symbolic import check_run_costs
 from repro.circuits.circuit import Circuit
 from repro.circuits.program import compile_circuit
 from repro.errors import ParameterError, ProtocolAbortError
-from repro.fields.ring import Zmod, ZmodElement
-from repro.packed_online import MuTracker, mu_gamma_share
+from repro.fields.ring import Zmod
+from repro.packed_online import MuTracker, mu_gamma_share, slot_values
 from repro.rng import fresh_rng
+from repro.sharing.kernel import add_mod, mul_mod, row_dtype, sum_mod
 from repro.sharing.packed import packed_scheme, secret_slots
 from repro.wire.registry import register_kind
 from repro.yoso.adversary import Adversary, honest_adversary
@@ -174,42 +177,40 @@ class ItYosoMpc:
         # ---- P1: mask contributions ------------------------------------------
 
         env.set_phase("offline")
-        mask_wires = list(program.mask_wires)
+        dtype = row_dtype(q)
+        mask_wires = np.array(program.mask_wires, dtype=np.intp)
+        client_wires = list(circuit.input_wires) + list(circuit.output_wires)
+        # One (left, right, out_2d) vector per batch, batch-major: the rng
+        # stream and the share values of the historical per-sharing loop
+        # (degrees d, d, 2d interleave per batch).
+        deal_slots = program.batch_wires.reshape(-1, k)
+        deal_keys = [
+            (batch.batch_id, kind)
+            for batch in batches
+            for kind in ("left", "right", "out_2d")
+        ]
+        deal_degrees = [d, d, 2 * d] * len(batches)
 
         def program_p1(view) -> None:
             # Additive contributions to the input/mul wire masks, extended
             # through the linear gates by the mask rule (λ^w = Σ_i m_i^w
             # holds on every wire because the rules are linear).
-            contrib: list[ZmodElement | None] = [None] * program.n_gates
-            for w in mask_wires:
-                contrib[w] = ring.random(view.rng)
-            program.propagate_linear(ring, contrib, masks=True)
-            # One batched dealing for all (batch, kind) vectors: the rng
-            # stream and the share values match the historical per-sharing
-            # loop exactly (degrees d, d, 2d interleave per batch).
-            keys: list[tuple[int, str]] = []
-            vectors: list[list[int]] = []
-            degrees: list[int] = []
-            for batch in batches:
-                for kind, wires in (
-                    ("left", batch.left_wires),
-                    ("right", batch.right_wires),
-                    ("out_2d", batch.gate_wires),
-                ):
-                    keys.append((batch.batch_id, kind))
-                    vectors.append(
-                        [contrib[w].value for w in wires] + [0] * (k - len(wires))
-                    )
-                    degrees.append(2 * d if kind == "out_2d" else d)
+            contrib = np.zeros(program.n_gates, dtype=dtype)
+            known = np.zeros(program.n_gates, dtype=bool)
+            contrib[mask_wires] = [
+                ring.random_value(view.rng) for _ in range(len(mask_wires))
+            ]
+            known[mask_wires] = True
+            program.propagate_linear(contrib, known, q, masks=True)
             # The kernel's share rows are posted as they come.
-            deals: dict[tuple[int, str], list[int]] = dict(zip(
-                keys, scheme.share_many(vectors, degree=degrees, rng=view.rng)
-            ))
-            client_masks = {
-                w: contrib[w].value
-                for w in list(circuit.input_wires) + list(circuit.output_wires)
-            }
-            view.speak("It-P1", {"deals": deals, "client_masks": client_masks})
+            deals = scheme.share_many(
+                slot_values(contrib, deal_slots), degree=deal_degrees, rng=view.rng
+            )
+            client_masks = dict(zip(client_wires, contrib[client_wires].tolist()))
+            view.speak(
+                "It-P1",
+                {"deals": dict(zip(deal_keys, deals)), "client_masks": client_masks},
+            )
 
         env.run_committee(p1, program_p1)
         p1_payloads = [p for _, p in sorted(env.posts_by_index(p1).items())]
@@ -219,61 +220,73 @@ class ItYosoMpc:
         # λ^w for client-facing wires (the functionality delivers privately).
         client_lambda = {
             w: sum(p["client_masks"][w] for p in p1_payloads) % q
-            for w in list(circuit.input_wires) + list(circuit.output_wires)
+            for w in client_wires
         }
 
-        # P2 member shares of each batch sharing: sums of the P1 deals.
-        def p2_share(batch_id: int, kind: str, index: int) -> int:
-            key = (batch_id, kind)
-            return sum(p["deals"][key][index - 1] for p in p1_payloads) % q
+        # P2 member shares of every batch sharing: sums of the P1 deals,
+        # each read off the board once (vector × member).
+        p2_shares = sum_mod(
+            (
+                np.array([p["deals"][key] for key in deal_keys], dtype=dtype)
+                .reshape(len(deal_keys), n)
+                for p in p1_payloads
+            ),
+            q,
+        )
 
         # ---- P2: multiply and transfer to the online committees ---------------
 
         def program_p2(view) -> None:
             i = view.index
-            # The member's λ rows depend only on (degree, i): hoist them out
-            # of the batch loop.
+            left, right, out2d = (p2_shares[side::3, i - 1] for side in range(3))
+            # The degree-2d share of Γ = λ^α·λ^β − λ^γ.
+            gamma_share = add_mod(mul_mod(left, right, q), q - out2d, q)
+            # The member's λ rows depend only on (degree, i), and only D+1
+            # contributors are needed per degree.
             rows = {
-                deg: self._transfer_row(deg, i) if i <= deg + 1 else None
-                for deg in (d, 2 * d)
+                deg: self._transfer_row(deg, i)
+                for deg in (d, 2 * d) if i <= deg + 1
             }
-            keys: list[tuple[int, str]] = []
-            vectors: list[list[int]] = []
-            for batch in batches:
-                left = p2_share(batch.batch_id, "left", i)
-                right = p2_share(batch.batch_id, "right", i)
-                out2d = p2_share(batch.batch_id, "out_2d", i)
-                gamma_share = (left * right - out2d) % q  # degree-2d share of Γ
+            sent = [
+                (kind, sigma, rows[source_degree])
                 for kind, sigma, source_degree in (
                     ("left", left, d),
                     ("right", right, d),
                     ("gamma", gamma_share, 2 * d),
-                ):
-                    row = rows[source_degree]
-                    if row is None:
-                        continue  # only D+1 contributors are needed
-                    keys.append((batch.batch_id, kind))
-                    vectors.append([sigma * c % q for c in row])
-            transfers: dict[tuple[int, str], list[int]] = dict(zip(
-                keys, scheme.share_many(vectors, degree=d, rng=view.rng)
-            ))
-            view.speak("It-P2", {"transfers": transfers})
+                )
+                if source_degree in rows
+            ]
+            # σ_i·L_i per batch and kind, batch-major as the keys.
+            sigmas = np.array([sigma for _, sigma, _ in sent], dtype=dtype)
+            lagrange = np.array([row for _, _, row in sent], dtype=dtype)
+            vectors = mul_mod(
+                sigmas.reshape(len(sent), len(batches)).T[:, :, None],
+                lagrange.reshape(len(sent), k)[None],
+                q,
+            ).reshape(-1, k)
+            keys = [(batch.batch_id, kind) for batch in batches for kind, _, _ in sent]
+            transfers = scheme.share_many(vectors, degree=d, rng=view.rng)
+            view.speak("It-P2", {"transfers": dict(zip(keys, transfers))})
 
         env.run_committee(p2, program_p2)
         p2_payloads = env.posts_by_index(p2)
 
-        def online_share(batch_id: int, kind: str, index: int) -> int:
-            source_degree = 2 * d if kind == "gamma" else d
-            key = (batch_id, kind)
-            total = 0
-            for i in range(1, source_degree + 2):
-                payload = p2_payloads.get(i)
-                if payload is None:
-                    raise ProtocolAbortError(
-                        "semi-honest IT protocol lost a P2 transfer"
-                    )
-                total += payload["transfers"][key][index - 1]
-            return total % q
+        def transferred(kind: str, source_degree: int) -> np.ndarray:
+            """Every online member's share of every batch's ``kind`` sharing:
+            the sum of the first D+1 P2 transfers (batch × member)."""
+            senders = range(1, source_degree + 2)
+            if any(i not in p2_payloads for i in senders):
+                raise ProtocolAbortError("semi-honest IT protocol lost a P2 transfer")
+            return sum_mod(
+                (
+                    np.array(
+                        [p2_payloads[i]["transfers"][(b.batch_id, kind)] for b in batches],
+                        dtype=dtype,
+                    ).reshape(len(batches), n)
+                    for i in senders
+                ),
+                q,
+            )
 
         # ---- Online: inputs, μ evaluation, outputs ---------------------------
 
@@ -303,28 +316,30 @@ class ItYosoMpc:
 
         product_degree = self.t + 2 * (self.k - 1)
         by_depth = program.depth_batches
+        if depths:
+            lam_left, lam_right, gamma = (
+                transferred("left", d), transferred("right", d),
+                transferred("gamma", 2 * d),
+            )
 
         for depth in depths:
             committee = mul_committees[depth]
+            ids = [batch.batch_id for batch in by_depth[depth]]
 
-            def program_mul(view, depth=depth) -> None:
+            def program_mul(view, depth=depth, ids=ids) -> None:
                 i = view.index
                 # Both canonical μ shares of every batch at this depth come
-                # out of one cached-matrix product.
-                shares_out = {
-                    batch.batch_id: mu_gamma_share(
-                        mu_left, mu_right,
-                        online_share(batch.batch_id, "left", i),
-                        online_share(batch.batch_id, "right", i),
-                        online_share(batch.batch_id, "gamma", i),
-                        q,
-                    )
-                    for batch, (mu_left, mu_right) in zip(
-                        by_depth[depth],
-                        tracker.canonical_shares(scheme, by_depth[depth], i),
-                    )
-                }
-                view.speak(committee.name, {"mu_shares": shares_out})
+                # out of one cached-matrix product, and every μ^γ share out
+                # of one element-wise evaluation.
+                mu_left, mu_right = tracker.canonical_shares(scheme, by_depth[depth], i)
+                shares = mu_gamma_share(
+                    mu_left, mu_right,
+                    lam_left[ids, i - 1], lam_right[ids, i - 1], gamma[ids, i - 1],
+                    q,
+                )
+                view.speak(
+                    committee.name, {"mu_shares": dict(zip(ids, shares.tolist()))}
+                )
 
             env.run_committee(committee, program_mul)
             # Semi-honest: posted shares are taken as they are.
@@ -345,7 +360,7 @@ class ItYosoMpc:
             tracker.propagate()
 
         outputs = program.outputs_by_client({
-            w: int(tracker.get(w) + client_lambda[w]) for w in circuit.output_wires
+            w: (tracker.get(w) + client_lambda[w]) % q for w in circuit.output_wires
         })
 
         result = ItYosoResult(

@@ -11,37 +11,53 @@ That algebra lives here and nowhere else.  What an evaluator keeps is how
 a member *obtains* its λ/Γ shares (KFF decryption, a sum of transfers, a
 dealer) and how posted shares are *authenticated* before they are opened.
 Field arithmetic and packed sharing only: nothing here encrypts, proves
-or touches the YOSO runtime.
+or touches the YOSO runtime.  Values are the sharing kernel's rows:
+``uint64`` arrays over the IT/Turbopack field, Python ints over the
+Paillier rings (:func:`repro.sharing.kernel.resolve_backend`).
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
+
+import numpy as np
 
 from repro.circuits.layering import MultiplicationBatch
 from repro.circuits.program import CircuitProgram
 from repro.errors import ProtocolAbortError
 from repro.fields.ring import Zmod, ZmodElement
+from repro.sharing.kernel import add_mod, mul_mod, row_dtype
 from repro.sharing.packed import PackedShamirScheme
 
 
 def mu_gamma_share(
-    mu_left: int,
-    mu_right: int,
-    lam_left: int,
-    lam_right: int,
-    gamma: int,
+    mu_left: Any,
+    mu_right: Any,
+    lam_left: Any,
+    lam_right: Any,
+    gamma: Any,
     modulus: int,
-) -> int:
+) -> Any:
     """One member's degree-(t+2(k−1)) share of a batch's μ^γ.
 
-    ``μ^α_i·μ^β_i + μ^α_i·λ^β_i + μ^β_i·λ^α_i + Γ_i`` — slot-wise this is
-    (μ^α + λ^α)(μ^β + λ^β) − λ^γ = v^γ − λ^γ.  Plain ints in, one
-    reduction mod ``modulus`` out.
+    ``μ^α_i·(μ^β_i + λ^β_i) + μ^β_i·λ^α_i + Γ_i`` — slot-wise this is
+    (μ^α + λ^α)(μ^β + λ^β) − λ^γ = v^γ − λ^γ.  Ints in, an int out; or
+    equal-shape rows in (many batches, or many members), one exact
+    element-wise evaluation out.
     """
-    return (
-        mu_left * mu_right + mu_left * lam_right + mu_right * lam_left + gamma
-    ) % modulus
+    return add_mod(
+        mul_mod(mu_left, add_mod(mu_right, lam_right, modulus), modulus),
+        add_mod(mul_mod(mu_right, lam_left, modulus), gamma, modulus),
+        modulus,
+    )
+
+
+def slot_values(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """``values`` at every slot's wire, zero on the padding slots (``-1``)."""
+    out = np.zeros(slots.shape, dtype=values.dtype)
+    real = slots >= 0
+    out[real] = values[slots[real]]
+    return out
 
 
 class MuTracker:
@@ -50,23 +66,26 @@ class MuTracker:
     def __init__(self, program: CircuitProgram, ring: Zmod):
         self.program = program
         self.ring = ring
-        self._mu: list[ZmodElement | None] = [None] * program.n_gates
+        self._mu = np.zeros(program.n_gates, dtype=row_dtype(ring.modulus))
+        self._known = np.zeros(program.n_gates, dtype=bool)
 
     def set(self, wire: int, value: int | ZmodElement) -> None:
-        self._mu[wire] = self.ring.element(value)
+        self._mu[wire] = int(value) % self.ring.modulus
+        self._known[wire] = True
 
     def known(self, wire: int) -> bool:
-        return self._mu[wire] is not None
+        return bool(self._known[wire])
 
-    def get(self, wire: int) -> ZmodElement:
-        value = self._mu[wire]
-        if value is None:
+    def get(self, wire: int) -> int:
+        if not self._known[wire]:
             raise ProtocolAbortError(f"μ for wire {wire} not yet public")
-        return value
+        return int(self._mu[wire])
 
     def propagate(self) -> None:
         """Push μ through linear gates as far as currently possible."""
-        self.program.propagate_linear(self.ring, self._mu, masks=False)
+        self.program.propagate_linear(
+            self._mu, self._known, self.ring.modulus, masks=False
+        )
 
     def publish_inputs(
         self, client: str, wires: Sequence[int], payload: object
@@ -90,28 +109,32 @@ class MuTracker:
         scheme: PackedShamirScheme,
         batches: Sequence[MultiplicationBatch],
         index: int | None = None,
-    ) -> list[tuple]:
-        """Per batch, the canonical degree-(k−1) sharing of (μ^α, μ^β).
+    ) -> tuple[Any, Any]:
+        """The canonical degree-(k−1) sharings of every batch's μ^α and μ^β.
 
         The public operand vectors are zero-padded to the packing width;
-        with ``index`` each entry is that party's pair of int shares,
-        without it the pair of n-share int rows — one cached-matrix
-        product either way.
+        returns ``(left, right)``, one entry per batch in each: with
+        ``index`` that party's share, without it the row of all n shares —
+        one cached-matrix product either way.
         """
-        vectors = []
-        for batch in batches:
-            for wires in (batch.left_wires, batch.right_wires):
-                values = [self.get(w).value for w in wires]
-                vectors.append(values + [0] * (scheme.k - len(values)))
-        shares = scheme.canonical_many(vectors, index=index)
-        return list(zip(shares[0::2], shares[1::2]))
+        slots = self.program.batch_wires[[b.batch_id for b in batches], :2]
+        real = slots[slots >= 0]
+        missing = ~self._known[real]
+        if missing.any():
+            wire = int(real[np.argmax(missing)])
+            raise ProtocolAbortError(f"μ for wire {wire} not yet public")
+        shares = scheme.canonical_many(
+            slot_values(self._mu, slots.reshape(-1, scheme.k)), index=index
+        )
+        return shares[0::2], shares[1::2]
 
     def set_batch(
         self, batch: MultiplicationBatch, opened: Sequence[int | ZmodElement]
     ) -> None:
         """Record a batch's opened μ^γ vector (padding slots are dropped)."""
-        for slot, wire in enumerate(batch.gate_wires):
-            self.set(wire, opened[slot])
+        wires = list(batch.gate_wires)
+        self._mu[wires] = [int(v) for v in opened[: len(wires)]]
+        self._known[wires] = True
 
     def open_batches(
         self,

@@ -1,4 +1,4 @@
-"""Batched packed-sharing kernel: exact modular matrix products.
+"""Batched packed-sharing kernel: exact modular arithmetic on rows of shares.
 
 Every packed-Shamir operation over a fixed ``(n, degree, k)`` geometry is
 a linear map: dealing is "evaluate the interpolant through the slot
@@ -9,17 +9,15 @@ matrices whose rows are Lagrange coefficient vectors — and those matrices
 only depend on the geometry, not on the secrets.  This module provides the
 matrix-vector engine behind
 :meth:`~repro.sharing.packed.PackedShamirScheme.share_many` /
-``reconstruct_many`` / ``canonical_many``:
+``reconstruct_many`` / ``canonical_many``, and the element-wise ring
+arithmetic the packed evaluators run on the rows it returns:
 
-* **numpy backend** — exact Z_p arithmetic for moduli up to 63 bits (the
-  IT variant's Mersenne field): operands are split into three 26-bit
-  limbs, the nine limb-pair products run as ``uint64`` matmuls (safe for
-  inner dimensions up to 4096 because ``4096 · (2^26)^2 ≤ 2^64``), the
-  partial sums are reduced mod p, and the limb weights are folded back in
-  with exact Python-int (object-dtype) arithmetic.
-* **int backend** — pure-int rows for 2048-bit moduli (the core
-  protocol's Z_N): one big-int accumulation per output element with a
-  single final reduction.
+* **numpy backend** — moduli up to 63 bits (the IT and Turbopack field):
+  a row is a ``uint64`` array and every operation is exact mod p, with no
+  intermediate above 2^64, no object dtype and no float (the argument is
+  in docs/PERFORMANCE.md, "Rows in, rows out").
+* **int backend** — Python-int rows (lists) for the Paillier rings: one
+  big-int accumulation per output element, one final reduction.
 
 The backend follows from the modulus width and the inner dimension alone
 (:func:`resolve_backend`).  Both must match the single-sharing
@@ -29,39 +27,31 @@ bit for bit, which ``tests/test_sharing_batched.py`` pins.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Sequence
+
+import numpy as np
 
 from repro.errors import ParameterError
 
-try:  # numpy ships with the repo, but the kernel must degrade gracefully
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None  # type: ignore[assignment]
-
-#: Largest modulus bit-length the uint64 limb kernel handles exactly.
+#: Largest modulus bit-length the uint64 kernel handles exactly: a sum of
+#: two residues and Shoup's remainder (< 2p) must fit in 64 bits.
 NUMPY_MODULUS_BITS = 63
 
-#: Largest inner dimension for which the limb matmul cannot overflow:
-#: every limb product is < 2^52, and uint64 holds 4096 of them.
+#: Largest inner dimension of a numpy product (the limb sums, 3·c·2^42,
+#: would allow far more; this is the committee size the kernel is tested to).
 NUMPY_MAX_INNER = 4096
 
-_LIMB_BITS = 26
-_LIMB_MASK = (1 << _LIMB_BITS) - 1
+_LIMB_BITS = 21
+_LIMB_MASK = np.uint64((1 << _LIMB_BITS) - 1)
+_HALF_BITS = np.uint64(32)
+_HALF_MASK = np.uint64((1 << 32) - 1)
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
-def numpy_available() -> bool:
-    return _np is not None
-
-
 def numpy_supports(modulus: int, inner: int) -> bool:
-    """Whether the uint64 limb kernel is exact for this modulus/shape."""
-    return (
-        _np is not None
-        and modulus.bit_length() <= NUMPY_MODULUS_BITS
-        and inner <= NUMPY_MAX_INNER
-    )
+    """Whether the uint64 kernel is exact for this modulus/shape."""
+    return modulus.bit_length() <= NUMPY_MODULUS_BITS and inner <= NUMPY_MAX_INNER
 
 
 def resolve_backend(modulus: int, inner: int) -> str:
@@ -69,31 +59,39 @@ def resolve_backend(modulus: int, inner: int) -> str:
     return "numpy" if numpy_supports(modulus, inner) else "int"
 
 
+def row_dtype(modulus: int) -> type:
+    """Element type of a table of ring values: ``uint64`` where the numpy
+    backend runs ``modulus`` (element-wise work has no inner dimension),
+    Python ints otherwise — one fancy-indexed algorithm serves every ring."""
+    return np.uint64 if resolve_backend(modulus, 1) == "numpy" else object
+
+
+# -- matrix products ------------------------------------------------------------
+
 def matmul_mod(
     rows: IntMatrix,
-    vectors: Sequence[Sequence[int]],
+    vectors: Any,
     modulus: int,
     backend: str,
-) -> list[list[int]]:
+) -> Any:
     """``[rows @ v mod modulus for v in vectors]`` on the chosen backend.
 
     ``rows`` is an ``r × c`` integer matrix with entries already reduced
-    mod ``modulus``; every vector has length ``c`` with entries in
-    ``[0, modulus)``.  Returns one length-``r`` list per input vector.
+    mod ``modulus``; ``vectors`` is ``B`` vectors of length ``c`` with
+    entries in ``[0, modulus)``.  numpy: a ``B × c`` array-like in, a
+    ``B × r`` ``uint64`` array out; int: lists of int rows in and out.
     """
-    if not vectors:
-        return []
     if backend == "numpy":
-        inner = len(vectors[0])
+        inner = len(rows[0])
         if not numpy_supports(modulus, inner):
             raise ParameterError(
                 "the numpy kernel cannot run exactly: "
                 f"modulus has {modulus.bit_length()} bits "
                 f"(limit {NUMPY_MODULUS_BITS}), inner dimension {inner} "
                 f"(limit {NUMPY_MAX_INNER})"
-                + ("" if _np is not None else ", numpy not importable")
             )
-        return _matmul_numpy(rows, vectors, modulus)
+        stack = np.asarray(vectors, dtype=np.uint64).reshape(-1, inner)
+        return _matmul_numpy(rows, stack, modulus)
     if backend == "int":
         return _matmul_int(rows, vectors, modulus)
     raise ParameterError(f"matmul_mod got non-matrix backend {backend!r}")
@@ -109,38 +107,111 @@ def _matmul_int(
     ]
 
 
-def _matmul_numpy(
-    rows: IntMatrix, vectors: Sequence[Sequence[int]], modulus: int
-) -> list[list[int]]:
-    """Exact Z_p matmul via 26-bit limb decomposition over uint64."""
-    assert _np is not None
-    matrix = _np.array(rows, dtype=_np.uint64)  # r × c
-    stack = _np.array(vectors, dtype=_np.uint64).T  # c × B
-    # Partial products grouped by limb weight t = i + j, reduced mod p so
-    # every intermediate stays strictly below 2^63 (sums below 2^64).
-    partials: dict[int, object] = {}
-    for i in range(3):
-        m_limb = (matrix >> _np.uint64(_LIMB_BITS * i)) & _np.uint64(_LIMB_MASK)
-        if not m_limb.any():
-            continue
-        for j in range(3):
-            v_limb = (stack >> _np.uint64(_LIMB_BITS * j)) & _np.uint64(_LIMB_MASK)
-            if not v_limb.any():
-                continue
-            part = (m_limb @ v_limb) % _np.uint64(modulus)
-            t = i + j
-            if t in partials:
-                partials[t] = (partials[t] + part) % _np.uint64(modulus)
-            else:
-                partials[t] = part
-    if not partials:
-        return [[0] * len(rows) for _ in vectors]
-    # Fold the 2^(26t) limb weights back in with exact Python-int
-    # arithmetic (object dtype): the heavy O(r·c·B) work already happened
-    # in uint64, this is O(r·B·len(partials)).
-    total = None
-    for t, arr in partials.items():
-        term = arr.astype(object) * ((1 << (_LIMB_BITS * t)) % modulus)
-        total = term if total is None else total + term
-    reduced = total % modulus
-    return [[int(v) for v in col] for col in reduced.T.tolist()]
+def _matmul_numpy(rows: IntMatrix, stack: np.ndarray, modulus: int) -> np.ndarray:
+    """Exact Z_p product via 21-bit limbs over uint64.
+
+    With ``v = Σ_j v_j·2^(21j)``, ``M·v = Σ_j (M·2^(21j) mod p)·v_j``: the
+    three vector limbs sit side by side along the inner dimension against
+    the three weighted copies of ``M``.  Each copy is itself split into
+    limbs ``A_i``, so every product is below 2^42 and one matmul per
+    ``i`` sums them exactly; ``Σ_i 2^(21i)·(A_i·v mod p)`` folds the
+    three partial results back with two constant multiplications.
+    """
+    weighted = np.array(
+        [
+            [(entry << (_LIMB_BITS * j)) % modulus for j in range(3) for entry in row]
+            for row in rows
+        ],
+        dtype=np.uint64,
+    )  # r × 3c
+    limbs = np.concatenate(
+        [(stack >> np.uint64(_LIMB_BITS * j)) & _LIMB_MASK for j in range(3)],
+        axis=1,
+    )  # B × 3c
+    p = np.uint64(modulus)
+    total = (limbs @ (weighted & _LIMB_MASK).T) % p
+    for i in (1, 2):
+        part = (limbs @ ((weighted >> np.uint64(_LIMB_BITS * i)) & _LIMB_MASK).T) % p
+        total = add_mod(
+            total, _times_constant(part, (1 << (_LIMB_BITS * i)) % modulus, modulus),
+            modulus,
+        )
+    return total
+
+
+# -- element-wise ring arithmetic ---------------------------------------------------
+#
+# Operands are the rows the kernel produces: ``uint64`` arrays with entries
+# in [0, p) on the numpy backend; Python ints (or object arrays of them) on
+# the int backend, where plain big-int arithmetic is already exact.
+
+def _is_row(*operands: Any) -> bool:
+    return any(
+        isinstance(x, np.ndarray) and x.dtype == np.uint64 for x in operands
+    )
+
+
+def add_mod(a: Any, b: Any, modulus: int) -> Any:
+    """``(a + b) mod modulus`` element-wise for ``a < p``, ``b ≤ p``
+    (``a + b < 2p ≤ 2^64``; ``add_mod(a, p − b, p)`` subtracts)."""
+    if not _is_row(a, b):
+        return (a + b) % modulus
+    p = np.uint64(modulus)
+    total = np.asarray(a, dtype=np.uint64) + np.asarray(b, dtype=np.uint64)
+    return np.where(total >= p, total - p, total)
+
+
+def mul_mod(a: Any, b: Any, modulus: int) -> Any:
+    """``a·b mod modulus`` element-wise, exact for every modulus ≤ 63 bits.
+
+    The 128-bit product ``hi·2^64 + lo`` is reduced as
+    ``hi·(2^64 mod p) + (lo mod p)``: ``hi < 2^62`` times a constant is
+    one Shoup multiplication, ``lo mod p`` is native.
+    """
+    if not _is_row(a, b):
+        return a * b % modulus
+    high, low = _wide_product(
+        np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64)
+    )
+    return add_mod(
+        _times_constant(high, (1 << 64) % modulus, modulus),
+        low % np.uint64(modulus),
+        modulus,
+    )
+
+
+def sum_mod(tables: Any, modulus: int) -> Any:
+    """``Σ tables mod modulus`` (an array's first axis, or any non-empty
+    iterable of equal-shape tables): one modular addition per table, so
+    no partial sum leaves ``[0, p)`` however many there are (eleven
+    residues near 2^61 would already overflow a plain ``uint64`` sum)."""
+    tables = iter(tables)
+    total = next(tables)
+    for table in tables:
+        total = add_mod(total, table, modulus)
+    return total
+
+
+def _wide_product(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(hi, lo)`` with ``x·y = hi·2^64 + lo``, from 32-bit halves."""
+    x_lo, x_hi = x & _HALF_MASK, x >> _HALF_BITS
+    y_lo, y_hi = y & _HALF_MASK, y >> _HALF_BITS
+    cross_a, cross_b = x_lo * y_hi, x_hi * y_lo  # each < 2^64
+    carry = (
+        ((x_lo * y_lo) >> _HALF_BITS) + (cross_a & _HALF_MASK) + (cross_b & _HALF_MASK)
+    ) >> _HALF_BITS
+    high = x_hi * y_hi + (cross_a >> _HALF_BITS) + (cross_b >> _HALF_BITS) + carry
+    return high, x * y  # the low word wraps mod 2^64, as wanted
+
+
+def _times_constant(x: np.ndarray, w: int, modulus: int) -> np.ndarray:
+    """``x·w mod p`` for ``x < 2^64`` and a constant ``w < p`` (Shoup).
+
+    With ``w' = ⌊w·2^64/p⌋`` and ``q = ⌊x·w'/2^64⌋``, the true value
+    ``x·w − q·p`` lies in ``[0, 2p)``, so its wrapped uint64 difference
+    is exact and one conditional subtraction finishes the reduction.
+    """
+    quotient, _ = _wide_product(x, np.asarray((w << 64) // modulus, dtype=np.uint64))
+    p = np.uint64(modulus)
+    rest = x * np.uint64(w) - quotient * p
+    return np.where(rest >= p, rest - p, rest)

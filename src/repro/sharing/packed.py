@@ -20,7 +20,9 @@ paper claims (DESIGN.md §1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 from repro.errors import ParameterError, ReconstructionError, SharingError
 from repro.fields import Zmod, ZmodElement, random_polynomial
@@ -105,6 +107,10 @@ PackedSharing = list[PackedShare]
 #: Precomputed Lagrange rows as plain ints (reduced mod the scheme modulus).
 _IntRows = tuple[tuple[int, ...], ...]
 
+#: What the batched APIs return: a ``uint64`` array on the numpy backend,
+#: (lists of) Python ints on the int backend.
+Rows = Union[np.ndarray, list]
+
 
 class PackedShamirScheme:
     """Packed Shamir sharing for ``n`` parties, packing factor ``k``.
@@ -179,18 +185,22 @@ class PackedShamirScheme:
         _hooks.note(_hooks.SHARING_CANONICAL)
         return PackedShare(index, value, self.k - 1, self.k)
 
-    # -- batched kernel APIs: int rows in, int rows out ------------------------
+    # -- batched kernel APIs: rows in, rows out ----------------------------------
+    #
+    # A row is a ``uint64`` array on the numpy backend and a list of ints on
+    # the int backend (kernel.resolve_backend decides, per geometry); the
+    # input vectors may be either form, or ring elements.
 
     def share_many(
         self,
-        secret_vectors: Sequence[Sequence[int | ZmodElement]],
+        secret_vectors: Sequence[Sequence[int | ZmodElement]] | np.ndarray,
         degree: int | Sequence[int] | None = None,
         rng=None,
-    ) -> list[list[int]]:
+    ) -> Rows:
         """Deal many packed sharings through one cached dealing matrix.
 
-        Row ``j`` holds the shares of parties ``1..n`` of vector ``j`` as
-        plain ints.  ``degree`` is a single degree for every vector or one
+        Row ``j`` holds the shares of parties ``1..n`` of vector ``j``.
+        ``degree`` is a single degree for every vector or one
         degree per vector (protocols interleave degrees d and 2d in a
         single rng stream, so per-vector degrees are needed to keep the
         stream identical to sequential :meth:`share` calls).  The values of
@@ -198,54 +208,53 @@ class PackedShamirScheme:
         random coefficients are drawn per vector in dealing order, then
         the shares come out of one matrix product per degree.
         """
-        columns = [self._check_row(v) for v in secret_vectors]
-        degrees = self._check_degrees(degree, len(columns))
-        backend = self._backend()
+        secrets = self._table(secret_vectors)
+        degrees = self._check_degrees(degree, len(secrets))
         # Draw the random values first, in vector order: this is exactly
         # the rng consumption of sequential share() calls.
         draw = self.ring.random_value
-        for column, d in zip(columns, degrees):
-            column.extend([draw(rng) for _ in range(d + 1 - self.k)])
-        out: list[list[int] | None] = [None] * len(columns)
+        extras = [[draw(rng) for _ in range(d + 1 - self.k)] for d in degrees]
+        out = np.empty((len(secrets), self.n), dtype=secrets.dtype)
         by_degree: dict[int, list[int]] = {}
         for pos, d in enumerate(degrees):
             by_degree.setdefault(d, []).append(pos)
         for d, positions in by_degree.items():
             _, rows = self._dealing_matrix(d)
-            shares = matmul_mod(
-                rows, [columns[p] for p in positions], self.ring.modulus, backend
+            columns = np.concatenate([
+                secrets[positions],
+                np.array([extras[p] for p in positions], dtype=secrets.dtype)
+                .reshape(len(positions), d + 1 - self.k),
+            ], axis=1)
+            out[positions] = matmul_mod(
+                rows, columns, self.ring.modulus, self._backend()
             )
             _hooks.note(_hooks.SHARING_DEALT, len(positions))
-            for pos, values in zip(positions, shares):
-                out[pos] = values
-        return [row for row in out if row is not None]
+        return self._rows(out)
 
     def canonical_many(
         self,
-        public_vectors: Sequence[Sequence[int | ZmodElement]],
+        public_vectors: Sequence[Sequence[int | ZmodElement]] | np.ndarray,
         index: int | None = None,
-    ) -> list[list[int]] | list[int]:
+    ) -> Rows:
         """Canonical degree-(k-1) sharings of many public vectors at once.
 
-        With ``index`` the result is one int per vector (party ``index``'s
-        canonical share, the value :meth:`canonical_share_for` returns);
-        without it, one row of all ``n`` shares per vector.  One cached
-        k-column matrix serves every call on this geometry.
+        With ``index`` the result is one value per vector (party
+        ``index``'s canonical share, the value :meth:`canonical_share_for`
+        returns); without it, one row of all ``n`` shares per vector.  One
+        cached k-column matrix serves every call on this geometry.
         """
-        columns = [self._check_row(v) for v in public_vectors]
-        backend = self._backend()
+        secrets = self._table(public_vectors)
         _, rows = self._dealing_matrix(self.k - 1)
-        if index is None:
-            return matmul_mod(rows, columns, self.ring.modulus, backend)
-        if not 1 <= index <= self.n:
-            raise ParameterError(f"party index {index} outside 1..{self.n}")
-        values = matmul_mod(
-            (rows[index - 1],), columns, self.ring.modulus, backend
-        )
-        # Mirror canonical_share_for's per-share counter (the full-sharing
-        # path mirrors canonical_sharing, which notes nothing).
-        _hooks.note(_hooks.SHARING_CANONICAL, len(columns))
-        return [vals[0] for vals in values]
+        if index is not None:
+            if not 1 <= index <= self.n:
+                raise ParameterError(f"party index {index} outside 1..{self.n}")
+            rows = (rows[index - 1],)
+            # Mirror canonical_share_for's per-share counter (the full-sharing
+            # path mirrors canonical_sharing, which notes nothing).
+            _hooks.note(_hooks.SHARING_CANONICAL, len(secrets))
+        out = np.empty((len(secrets), len(rows)), dtype=secrets.dtype)
+        out[:] = matmul_mod(rows, secrets, self.ring.modulus, self._backend())
+        return self._rows(out if index is None else out[:, 0])
 
     # -- reconstruction ---------------------------------------------------------
 
@@ -317,7 +326,7 @@ class PackedShamirScheme:
         self,
         sharings: Sequence[Iterable[tuple[int, int]]],
         degree: int,
-    ) -> list[list[int]]:
+    ) -> Rows:
         """Reconstruct many sharings through cached slot-evaluation matrices.
 
         Each sharing is ``(party index, share value)`` int pairs of a
@@ -349,12 +358,13 @@ class PackedShamirScheme:
             prepared.append(points)
             xs = tuple(x for x, _ in points[: degree + 1])
             by_points.setdefault(xs, []).append(pos)
-        results: list[list[int] | None] = [None] * len(prepared)
+        results = np.empty((len(prepared), self.k), dtype=self._dtype())
         slots = tuple(secret_slots(self.k))
         for xs, positions in by_points.items():
-            columns = [
-                [v for _, v in prepared[pos][: degree + 1]] for pos in positions
-            ]
+            columns = np.array(
+                [[v for _, v in prepared[pos][: degree + 1]] for pos in positions],
+                dtype=results.dtype,
+            )
             # Redundant shares: evaluate the base interpolant at the extra
             # indices and compare (the matrix analogue of poly(s.index)).
             extra_targets = sorted(
@@ -371,13 +381,11 @@ class PackedShamirScheme:
                                 f"share of party {x} inconsistent "
                                 f"with the others"
                             )
-            opened = matmul_mod(
+            results[positions] = matmul_mod(
                 self.evaluation_rows(xs, slots), columns, modulus, backend
             )
             _hooks.note(_hooks.SHARING_RECONSTRUCTED, len(positions))
-            for pos, values in zip(positions, opened):
-                results[pos] = values
-        return [r for r in results if r is not None]
+        return self._rows(results)
 
     # -- local operations ----------------------------------------------------
 
@@ -490,6 +498,31 @@ class PackedShamirScheme:
         # The widest matrix product on this geometry has inner dimension n
         # (a degree-(n-1) dealing column, or a full reconstruction base).
         return resolve_backend(self.ring.modulus, self.n)
+
+    def _dtype(self) -> type:
+        """Element type of this geometry's tables (Python ints off numpy)."""
+        return np.uint64 if self._backend() == "numpy" else object
+
+    def _table(
+        self, vectors: Sequence[Sequence[int | ZmodElement]] | np.ndarray
+    ) -> np.ndarray:
+        """``vectors`` as a ``B × k`` table reduced mod the ring modulus."""
+        if isinstance(vectors, np.ndarray):
+            if vectors.ndim != 2 or vectors.shape[1] != self.k:
+                raise ParameterError(
+                    f"expected {self.k} packed secrets, got {vectors.shape[-1]}"
+                )
+            if self._dtype() is object:  # a wide modulus does not fit uint64
+                vectors = vectors.astype(object)
+            return (vectors % self.ring.modulus).astype(self._dtype(), copy=False)
+        return np.array(
+            [self._check_row(v) for v in vectors], dtype=self._dtype()
+        ).reshape(-1, self.k)
+
+    def _rows(self, table: np.ndarray) -> Rows:
+        """A result table in the backend's row form: the ``uint64`` array
+        itself, or (the Paillier rings) lists of Python ints."""
+        return table if table.dtype == np.uint64 else table.tolist()
 
     def _check_degree(self, d: int) -> None:
         if not (self.k - 1 <= d <= self.n - 1):

@@ -29,8 +29,11 @@ how a fresh process (a socket-transport worker) bootstraps an empty
 from __future__ import annotations
 
 import hashlib
+from sys import intern
 from dataclasses import dataclass, fields as dataclass_fields, is_dataclass
 from typing import Any
+
+import numpy as np
 
 from repro.errors import EncryptionError, WireDecodeError, WireEncodeError
 from repro.paillier.paillier import PaillierCiphertext, PaillierPublicKey
@@ -53,6 +56,10 @@ TAG_CIPHERTEXT = 0x0C
 
 #: Bytes of SHA-256(modulus) identifying a Paillier key on the wire.
 KEY_ID_BYTES = 8
+
+#: Tag and one-byte length: the head of every int of at most 127 bytes.
+_POS_HEADS = tuple(bytes((TAG_INT_POS, n)) for n in range(0x80))
+_NEG_HEADS = tuple(bytes((TAG_INT_NEG, n)) for n in range(0x80))
 
 _VARINT_MAX_LEN = 9
 
@@ -237,6 +244,12 @@ class WireCodec:
     # -- encoding ------------------------------------------------------------
 
     def encode(self, value: Any) -> bytes:
+        if type(value) is int and value:  # a dict key or value: no buffer
+            magnitude = value if value > 0 else -value
+            length = (magnitude.bit_length() + 7) >> 3
+            if length < 0x80:
+                head = (_POS_HEADS if value > 0 else _NEG_HEADS)[length]
+                return head + magnitude.to_bytes(length, "big")
         out = bytearray()
         self._encode(value, out)
         return bytes(out)
@@ -278,31 +291,19 @@ class WireCodec:
             out.append(TAG_FALSE)
         elif isinstance(value, int):
             self._encode_int(value, out)
-        elif isinstance(value, (bytes, bytearray)):
-            out.append(TAG_BYTES)
-            write_varint(out, len(value))
-            out += value
-        elif isinstance(value, str):
-            raw = value.encode("utf-8")
-            out.append(TAG_STR)
-            write_varint(out, len(raw))
-            out += raw
         elif isinstance(value, (list, tuple)):
-            out.append(TAG_LIST if isinstance(value, list) else TAG_TUPLE)
-            write_varint(out, len(value))
-            append = out.append
-            for item in value:
-                # Share vectors are runs of plain ints: write the ones with
-                # a one-byte length inline (what _encode_int would emit).
-                if type(item) is int and item:
-                    magnitude = item if item > 0 else -item
-                    length = (magnitude.bit_length() + 7) >> 3
-                    if length < 0x80:
-                        append(TAG_INT_POS if item > 0 else TAG_INT_NEG)
-                        append(length)
-                        out += magnitude.to_bytes(length, "big")
-                        continue
-                self._encode(item, out)
+            self._encode_items(
+                value, TAG_LIST if isinstance(value, list) else TAG_TUPLE, out
+            )
+        elif isinstance(value, np.ndarray):
+            # A sharing-kernel row goes out as the list it stands for (one
+            # tolist()); no other array has a wire form.
+            if value.ndim != 1 or value.dtype.kind not in "iu":
+                raise WireEncodeError(
+                    f"no wire form for a {value.ndim}-d {value.dtype} array "
+                    f"(only one-dimensional integer rows)"
+                )
+            self._encode_items(value.tolist(), TAG_LIST, out)
         elif isinstance(value, dict):
             pairs = sorted(
                 (self.encode(k), self.encode(v)) for k, v in value.items()
@@ -312,6 +313,15 @@ class WireCodec:
             for enc_key, enc_value in pairs:
                 out += enc_key
                 out += enc_value
+        elif isinstance(value, str):
+            raw = value.encode("utf-8")
+            out.append(TAG_STR)
+            write_varint(out, len(raw))
+            out += raw
+        elif isinstance(value, (bytes, bytearray)):
+            out.append(TAG_BYTES)
+            write_varint(out, len(value))
+            out += value
         elif isinstance(value, PaillierCiphertext):
             self._encode_ciphertext(value, out)
         else:
@@ -329,6 +339,33 @@ class WireCodec:
                 # Mirror the decode-side registration so both ends of a
                 # stream end up with the same ring.
                 self.keyring.add(value.public_key())
+
+    def _encode_items(self, items: Any, tag: int, out: bytearray) -> None:
+        out.append(tag)
+        write_varint(out, len(items))
+        append = out.append
+        for item in items:
+            # Share rows are runs of plain ints and dict keys pair them with
+            # short strings: write those inline (what _encode would emit).
+            kind = type(item)
+            if kind is int:
+                if not item:
+                    append(TAG_INT_ZERO)
+                    continue
+                magnitude = item if item > 0 else -item
+                length = (magnitude.bit_length() + 7) >> 3
+                if length < 0x80:
+                    out += (_POS_HEADS if item > 0 else _NEG_HEADS)[length]
+                    out += magnitude.to_bytes(length, "big")
+                    continue
+            elif kind is str:
+                raw = item.encode("utf-8")
+                if len(raw) < 0x80:
+                    append(TAG_STR)
+                    append(len(raw))
+                    out += raw
+                    continue
+            self._encode(item, out)
 
     @staticmethod
     def _encode_int(value: int, out: bytearray) -> None:
@@ -362,15 +399,27 @@ class WireCodec:
             raise WireDecodeError("truncated value: missing type tag")
         tag = data[pos]
         pos += 1
-        if tag == TAG_NONE:
-            return None, pos
-        if tag == TAG_TRUE:
-            return True, pos
-        if tag == TAG_FALSE:
-            return False, pos
-        if tag == TAG_INT_ZERO:
-            return 0, pos
-        if tag in (TAG_INT_POS, TAG_INT_NEG):
+        if tag == TAG_LIST or tag == TAG_TUPLE:
+            count, pos = read_varint(data, pos)
+            self._check_count(data, pos, count)
+            items, pos = self._decode_items(data, pos, count)
+            return (items if tag == TAG_LIST else tuple(items)), pos
+        if tag == TAG_DICT:
+            count, pos = read_varint(data, pos)
+            self._check_count(data, pos, count)
+            # Keys and values alternate: read them as one run of items,
+            # then check the keys' encodings strictly increase.
+            starts: list[int] = []
+            items, pos = self._decode_items(data, pos, 2 * count, starts)
+            starts.append(pos)
+            previous_key_bytes = b""
+            for i in range(0, 2 * count, 2):
+                key_bytes = data[starts[i]:starts[i + 1]]
+                if i and key_bytes <= previous_key_bytes:
+                    raise WireDecodeError("dict entries not in canonical order")
+                previous_key_bytes = key_bytes
+            return dict(zip(items[0::2], items[1::2])), pos
+        if tag == TAG_INT_POS or tag == TAG_INT_NEG:
             length, pos = read_varint(data, pos)
             raw = self._take(data, pos, length, "integer")
             pos += length
@@ -378,10 +427,8 @@ class WireCodec:
                 raise WireDecodeError("non-minimal integer encoding")
             magnitude = int.from_bytes(raw, "big")
             return (magnitude if tag == TAG_INT_POS else -magnitude), pos
-        if tag == TAG_BYTES:
-            length, pos = read_varint(data, pos)
-            raw = self._take(data, pos, length, "bytes")
-            return bytes(raw), pos + length
+        if tag == TAG_INT_ZERO:
+            return 0, pos
         if tag == TAG_STR:
             length, pos = read_varint(data, pos)
             raw = self._take(data, pos, length, "string")
@@ -389,45 +436,16 @@ class WireCodec:
                 return raw.decode("utf-8"), pos + length
             except UnicodeDecodeError as exc:
                 raise WireDecodeError(f"invalid utf-8 string: {exc}") from exc
-        if tag in (TAG_LIST, TAG_TUPLE):
-            count, pos = read_varint(data, pos)
-            self._check_count(data, pos, count)
-            items = []
-            end = len(data)
-            from_bytes = int.from_bytes
-            for _ in range(count):
-                # A well-formed int with a one-byte length is read inline;
-                # anything else (rejections included) takes the full path.
-                if pos + 1 < end:
-                    item_tag = data[pos]
-                    if item_tag == TAG_INT_POS or item_tag == TAG_INT_NEG:
-                        length = data[pos + 1]
-                        start, stop = pos + 2, pos + 2 + length
-                        if 0 < length < 0x80 and stop <= end and data[start]:
-                            magnitude = from_bytes(data[start:stop], "big")
-                            items.append(
-                                magnitude if item_tag == TAG_INT_POS else -magnitude
-                            )
-                            pos = stop
-                            continue
-                item, pos = self._decode(data, pos)
-                items.append(item)
-            return (items if tag == TAG_LIST else tuple(items)), pos
-        if tag == TAG_DICT:
-            count, pos = read_varint(data, pos)
-            self._check_count(data, pos, count)
-            out: dict[Any, Any] = {}
-            previous_key_bytes: bytes | None = None
-            for _ in range(count):
-                key_start = pos
-                key, pos = self._decode(data, pos)
-                key_bytes = data[key_start:pos]
-                if previous_key_bytes is not None and key_bytes <= previous_key_bytes:
-                    raise WireDecodeError("dict entries not in canonical order")
-                previous_key_bytes = key_bytes
-                value, pos = self._decode(data, pos)
-                out[key] = value
-            return out, pos
+        if tag == TAG_NONE:
+            return None, pos
+        if tag == TAG_TRUE:
+            return True, pos
+        if tag == TAG_FALSE:
+            return False, pos
+        if tag == TAG_BYTES:
+            length, pos = read_varint(data, pos)
+            raw = self._take(data, pos, length, "bytes")
+            return bytes(raw), pos + length
         if tag == TAG_CIPHERTEXT:
             kid = bytes(self._take(data, pos, KEY_ID_BYTES, "key id"))
             pos += KEY_ID_BYTES
@@ -472,6 +490,52 @@ class WireCodec:
                 self.keyring.add(value.public_key())
             return value, pos
         raise WireDecodeError(f"unknown wire type tag 0x{tag:02x}")
+
+    def _decode_items(
+        self, data: bytes, pos: int, count: int, starts: list[int] | None = None
+    ) -> tuple[list[Any], int]:
+        """``count`` consecutive values from ``pos`` (``starts`` collects
+        where each begins).  Well-formed ints and short strings — one-byte
+        length — are read inline; anything else, rejections included,
+        takes the full path."""
+        items: list[Any] = []
+        append = items.append
+        end = len(data)
+        from_bytes = int.from_bytes
+        for _ in range(count):
+            if starts is not None:
+                starts.append(pos)
+            if pos + 1 < end:
+                item_tag = data[pos]
+                if item_tag == TAG_INT_POS or item_tag == TAG_INT_NEG:
+                    length = data[pos + 1]
+                    start, stop = pos + 2, pos + 2 + length
+                    if 0 < length < 0x80 and stop <= end and data[start]:
+                        magnitude = from_bytes(data[start:stop], "big")
+                        append(magnitude if item_tag == TAG_INT_POS else -magnitude)
+                        pos = stop
+                        continue
+                elif item_tag == TAG_STR:
+                    # Short strings are mostly key names repeated entry after
+                    # entry (a deal's "left"/"right"): interned, they share one
+                    # object instead of one per decoded key.
+                    length = data[pos + 1]
+                    stop = pos + 2 + length
+                    if length < 0x80 and stop <= end:
+                        try:
+                            append(intern(data[pos + 2:stop].decode("utf-8")))
+                        except UnicodeDecodeError:
+                            pass
+                        else:
+                            pos = stop
+                            continue
+                elif item_tag == TAG_INT_ZERO:
+                    append(0)
+                    pos += 1
+                    continue
+            item, pos = self._decode(data, pos)
+            append(item)
+        return items, pos
 
     @staticmethod
     def _take(data: bytes, pos: int, length: int, what: str) -> bytes:

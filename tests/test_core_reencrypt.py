@@ -46,7 +46,7 @@ class TestReencrypt:
             for s in shares
         ]
         value = recover_reencrypted(
-            tpk, ct, contributions, recipient.secret, verifs, PARAMS
+            tpk, ct, contributions, recipient.secret, verifs, 0, PARAMS
         )
         assert value == 987654
 
@@ -58,7 +58,7 @@ class TestReencrypt:
             for s in shares[:2]
         ]
         assert recover_reencrypted(
-            tpk, ct, contributions, recipient.secret, verifs, PARAMS
+            tpk, ct, contributions, recipient.secret, verifs, 0, PARAMS
         ) == 55
 
     def test_garbage_contribution_excluded(self, setup, rng):
@@ -71,7 +71,7 @@ class TestReencrypt:
         # Corrupt sender 1: swap in chunks encrypting a wrong partial.
         bad = dataclasses.replace(contributions[0], chunks=contributions[1].chunks)
         assert recover_reencrypted(
-            tpk, ct, [bad] + contributions[1:], recipient.secret, verifs, PARAMS
+            tpk, ct, [bad] + contributions[1:], recipient.secret, verifs, 0, PARAMS
         ) == 321
 
     def test_unknown_sender_excluded(self, setup, rng):
@@ -83,7 +83,7 @@ class TestReencrypt:
         ]
         forged = dataclasses.replace(contributions[0], sender_index=99)
         assert recover_reencrypted(
-            tpk, ct, [forged] + contributions[1:], recipient.secret, verifs, PARAMS
+            tpk, ct, [forged] + contributions[1:], recipient.secret, verifs, 0, PARAMS
         ) == 1
 
     def test_insufficient_verified_aborts(self, setup, rng):
@@ -92,7 +92,7 @@ class TestReencrypt:
         good = reencrypt_contribution(tpk, shares[0], ct, recipient.public, PARAMS, rng)
         bad = dataclasses.replace(good, sender_index=99)
         with pytest.raises(ProtocolAbortError):
-            recover_reencrypted(tpk, ct, [bad], recipient.secret, verifs, PARAMS)
+            recover_reencrypted(tpk, ct, [bad], recipient.secret, verifs, 0, PARAMS)
 
     def test_mismatched_proof_excluded(self, setup, rng):
         tpk, shares, recipient, verifs = setup
@@ -104,7 +104,7 @@ class TestReencrypt:
         # Keep chunks but replace the proof with another sender's.
         bad = dataclasses.replace(contributions[0], proof=contributions[1].proof)
         assert recover_reencrypted(
-            tpk, ct, [bad] + contributions[1:], recipient.secret, verifs, PARAMS
+            tpk, ct, [bad] + contributions[1:], recipient.secret, verifs, 0, PARAMS
         ) == 2024
 
 
@@ -123,7 +123,7 @@ class TestReencrypt:
             contributions + [contributions[1]],
         ):
             assert recover_reencrypted(
-                tpk, ct, posted, recipient.secret, verifs, PARAMS
+                tpk, ct, posted, recipient.secret, verifs, 0, PARAMS
             ) == 808
 
     def test_wrong_partial_under_a_wellformed_proof_excluded(self, setup, rng):
@@ -151,7 +151,7 @@ class TestReencrypt:
             ),
         )
         assert recover_reencrypted(
-            tpk, ct, [bad] + contributions[1:], recipient.secret, verifs, PARAMS
+            tpk, ct, [bad] + contributions[1:], recipient.secret, verifs, 0, PARAMS
         ) == 99
 
 
@@ -162,7 +162,7 @@ class TestPublicDecrypt:
         contributions = [
             public_decrypt_contribution(tpk, s, ct, PARAMS, rng) for s in shares
         ]
-        assert combine_public(tpk, ct, contributions, verifs, PARAMS) == 777
+        assert combine_public(tpk, ct, contributions, verifs, 0, PARAMS) == 777
 
     def test_bad_partial_excluded(self, setup, rng):
         tpk, shares, _, verifs = setup
@@ -178,7 +178,7 @@ class TestPublicDecrypt:
             ),
         )
         assert combine_public(
-            tpk, ct, [bad] + contributions[1:], verifs, PARAMS
+            tpk, ct, [bad] + contributions[1:], verifs, 0, PARAMS
         ) == 777
 
     def test_copycat_contribution_is_not_an_abort(self, setup, rng):
@@ -191,7 +191,7 @@ class TestPublicDecrypt:
             [contributions[0], contributions[0]] + contributions[2:],
             contributions + [contributions[1]],
         ):
-            assert combine_public(tpk, ct, posted, verifs, PARAMS) == 778
+            assert combine_public(tpk, ct, posted, verifs, 0, PARAMS) == 778
 
     def test_all_bad_aborts(self, setup, rng):
         tpk, shares, _, verifs = setup
@@ -207,4 +207,4 @@ class TestPublicDecrypt:
             for s in shares
         ]
         with pytest.raises(ProtocolAbortError):
-            combine_public(tpk, ct, contributions, verifs, PARAMS)
+            combine_public(tpk, ct, contributions, verifs, 0, PARAMS)

@@ -313,7 +313,7 @@ class TestPartialDecryptionBatch:
                 PARAMS,
             )[0])
             assert combine_public(
-                tpk, ct, contributions, verifications, PARAMS
+                tpk, ct, contributions, verifications, 0, PARAMS
             ) == message
         assert seen == {True, False}
 

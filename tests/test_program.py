@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -202,9 +203,19 @@ def test_compiled_evaluation_matches_plaintext_property(seed, k):
     # wires, the value rule fills in exactly what evaluate computes...
     gates = circuit.gates
     seeded = set(circuit.input_wires) | set(program.mul_wires)
-    values = [v if w in seeded else None for w, v in enumerate(expected.wire_values)]
-    program.propagate_linear(F, values, masks=False)
-    assert tuple(values) == expected.wire_values
+
+    def walk(walked, wires, masks):
+        """propagate_linear over a uint64 table seeded at ``wires``; the
+        result as per-wire ints, None where still unknown."""
+        values = np.array(
+            [int(v) if w in wires else 0 for w, v in enumerate(expected.wire_values)],
+            dtype=np.uint64,
+        )
+        known = np.array([w in wires for w in range(len(gates))])
+        walked.propagate_linear(values, known, F.modulus, masks=masks)
+        return [int(v) if k else None for v, k in zip(values.tolist(), known)]
+
+    assert walk(program, seeded, False) == [int(v) for v in expected.wire_values]
 
     def combine(groups):
         return [sum((x * c for x, c in zip(xs, cs)), F.zero) for xs, cs in groups]
@@ -218,14 +229,11 @@ def test_compiled_evaluation_matches_plaintext_property(seed, k):
         Gate(g.kind, g.inputs, constant=0) if g.kind is GateType.CADD else g
         for g in gates
     ]), k)
-    masks = [v if w in seeded else None for w, v in enumerate(expected.wire_values)]
-    reference = list(masks)
-    program.propagate_linear(F, masks, masks=True)
-    dropped.propagate_linear(F, reference, masks=False)
-    assert masks == reference
+    reference = walk(dropped, seeded, False)
+    assert walk(program, seeded, True) == reference
     batched = {w: expected.wire_values[w] for w in seeded}
     program.propagate_linear_batched(batched, combine, None)
-    assert [batched[w] for w in range(len(gates))] == reference
+    assert [int(batched[w]) for w in range(len(gates))] == reference
 
     # ...and a wire behind an unknown multiplication stays unknown.
     behind_mul = []
@@ -233,13 +241,8 @@ def test_compiled_evaluation_matches_plaintext_property(seed, k):
         behind_mul.append(
             g.kind is GateType.MUL or any(behind_mul[s] for s in g.inputs)
         )
-    partial = [
-        v if w in circuit.input_wires else None
-        for w, v in enumerate(expected.wire_values)
-    ]
-    program.propagate_linear(F, partial, masks=False)
-    assert partial == [
-        None if behind else v
+    assert walk(program, set(circuit.input_wires), False) == [
+        None if behind else int(v)
         for behind, v in zip(behind_mul, expected.wire_values)
     ]
 

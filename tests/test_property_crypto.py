@@ -87,7 +87,7 @@ def test_reencrypt_roundtrip_property(message, quorum, seed):
         for s in _SHARES[:quorum]
     ]
     value = recover_reencrypted(
-        _TPK, ct, contributions, _RECIPIENT.secret, verifs, PARAMS
+        _TPK, ct, contributions, _RECIPIENT.secret, verifs, 0, PARAMS
     )
     assert value == message % _TPK.n
 

@@ -6,6 +6,7 @@ import random
 
 
 import repro.core.offline as core_offline
+import repro.core.online as core_online
 from repro.circuits import CircuitBuilder, dot_product_circuit
 from repro.core import ProtocolParams, YosoMpc
 from repro.core.reencrypt import PublicPartial
@@ -195,6 +196,60 @@ class TestPerCommitteeAttacks:
 
         result = _run(_corrupt_committee("C", maul))  # every committee
         assert result.outputs["alice"] == EXPECTED
+
+
+class TestWrongEpochLabel:
+    """A member proves its *real* partial under a wrong epoch label — the
+    proof binds whatever label the partial carries, so it verifies.  The
+    collector knows which key epoch it combines for and drops the
+    contribution exactly as it drops a failed proof; the other members'
+    partials still decrypt (Thm 1's guaranteed output delivery)."""
+
+    CHEATER = 2
+
+    @classmethod
+    def mislabelled(cls, share):
+        if share.index != cls.CHEATER:
+            return share
+        return dataclasses.replace(share, epoch=share.epoch + 1)
+
+    def test_online_reencryption_contribution(self, monkeypatch):
+        # Con-keys re-encrypts every KFF secret to its online role.
+        honest = core_online.reencrypt_contributions
+
+        def cheat(tpk, share, items, params, rng=None):
+            return honest(tpk, self.mislabelled(share), items, params, rng)
+
+        monkeypatch.setattr(core_online, "reencrypt_contributions", cheat)
+        result = YosoMpc(PARAMS, rng=random.Random(94)).run(CIRCUIT, INPUTS)
+        assert result.outputs["alice"] == EXPECTED
+
+    def test_coff_dec_public_partial(self, monkeypatch):
+        honest = core_offline.decrypt_openings
+
+        def cheat(tpk, share, openings, params, rng=None):
+            return honest(tpk, self.mislabelled(share), openings, params, rng)
+
+        monkeypatch.setattr(core_offline, "decrypt_openings", cheat)
+        result = YosoMpc(PARAMS, rng=random.Random(95)).run(CIRCUIT, INPUTS)
+        assert result.outputs["alice"] == EXPECTED
+
+    def test_mislabelled_resharing_leaves_the_contributor_set(self, monkeypatch):
+        # The hand-off recombines at the epoch it is told, never the label's;
+        # a resharing under another label is dropped like a failed one.
+        honest = core_offline.build_resharing
+
+        def cheat(tpk, share, recipient_pks, params, rng=None):
+            resharing = honest(tpk, share, recipient_pks, params, rng)
+            if share.index != self.CHEATER:
+                return resharing
+            return dataclasses.replace(resharing, epoch=resharing.epoch + 1)
+
+        monkeypatch.setattr(core_offline, "build_resharing", cheat)
+        result = YosoMpc(PARAMS, rng=random.Random(96)).run(CIRCUIT, INPUTS)
+        assert result.outputs["alice"] == EXPECTED
+        for handoff in result.offline.handoffs.values():
+            assert self.CHEATER not in handoff.contributors
 
 
 class TestClientBehaviour:

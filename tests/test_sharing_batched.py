@@ -1,19 +1,24 @@
 """Cross-path equivalence suite for the batched sharing kernel.
 
-Pins the int rows of :meth:`share_many` / :meth:`canonical_many` /
-:meth:`reconstruct_many` on both backends (numpy limb kernel, pure-int) to
-the single-sharing polynomial path — a loop of :meth:`share` /
+Pins the rows of :meth:`share_many` / :meth:`canonical_many` /
+:meth:`reconstruct_many` on both backends (numpy ``uint64`` kernel,
+pure-int) to the single-sharing polynomial path — a loop of :meth:`share` /
 :meth:`canonical_sharing` / :meth:`reconstruct` with the ``PackedShare``
 values unboxed: identical share values for identical RNG streams, with the
 RNG left in the identical end state.  Geometries cover k=1, n<2k−1,
 minimum and maximum degrees; moduli straddle the 63-bit numpy cutover and
-reach the core protocol's 256-bit test width.
+reach the core protocol's 256-bit test width.  Where the numpy backend
+runs, the input vectors are also given as one ``uint64`` table, and the
+rows must come back as ``uint64`` arrays; the int backend returns lists.
+The element-wise arithmetic the evaluators run on those arrays is checked
+against Python ints at the ``uint64`` overflow edges.
 """
 
 import random
 from contextlib import nullcontext
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,7 +33,13 @@ from repro.sharing import (
     packed_scheme,
     resolve_backend,
 )
-from repro.sharing.kernel import NUMPY_MAX_INNER, numpy_available, numpy_supports
+from repro.sharing.kernel import (
+    NUMPY_MAX_INNER,
+    add_mod,
+    mul_mod,
+    numpy_supports,
+    sum_mod,
+)
 
 P61 = (1 << 61) - 1  # the IT/Turbopack evaluators' Mersenne prime
 P63 = (1 << 63) - 25  # largest prime below 2**63: exactly at the cutover
@@ -73,6 +84,26 @@ def pairs(sharing):
     return [(s.index, int(s.value)) for s in sharing]
 
 
+def given_forms(vectors, modulus):
+    """The vectors as int lists and, where numpy runs the modulus, as one
+    ``uint64`` table too."""
+    if numpy_supports(modulus, 1):
+        return [vectors, np.array(vectors, dtype=np.uint64)]
+    return [vectors]
+
+
+def as_lists(rows, scheme):
+    """The batched result as int lists, after checking its form: ``uint64``
+    arrays where the geometry resolves to numpy, Python-int lists otherwise
+    (call inside the backend mode the result was computed under)."""
+    if resolve_backend(scheme.ring.modulus, scheme.n) == "numpy":
+        assert isinstance(rows, np.ndarray) and rows.dtype == np.uint64
+        return rows.tolist()
+    assert isinstance(rows, list)
+    assert all(type(v) is int for row in rows for v in (row if isinstance(row, list) else [row]))
+    return rows
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     geom=st.sampled_from(GEOMETRIES),
@@ -89,13 +120,14 @@ def test_share_many_matches_legacy(geom, modulus, seed):
         scheme.share(v, degree=d, rng=rng_loop) for v, d in zip(vectors, degrees)
     ]
     for mode in BACKEND_MODES:
-        rng_batched = random.Random(seed ^ 0x5EED)
-        with mode():
-            got = scheme.share_many(vectors, degree=degrees, rng=rng_batched)
-        assert got == unboxed(expected)
-        # Same values is not enough: the batched path must consume the
-        # RNG stream identically, or every downstream draw diverges.
-        assert rng_batched.getstate() == rng_loop.getstate()
+        for secrets in given_forms(vectors, modulus):
+            rng_batched = random.Random(seed ^ 0x5EED)
+            with mode():
+                got = scheme.share_many(secrets, degree=degrees, rng=rng_batched)
+                assert as_lists(got, scheme) == unboxed(expected)
+            # Same values is not enough: the batched path must consume the
+            # RNG stream identically, or every downstream draw diverges.
+            assert rng_batched.getstate() == rng_loop.getstate()
 
 
 @settings(max_examples=40, deadline=None)
@@ -113,11 +145,12 @@ def test_canonical_many_matches_legacy(geom, modulus, seed):
     expected_full = [scheme.canonical_sharing(v) for v in vectors]
     expected_one = [scheme.canonical_share_for(v, index) for v in vectors]
     for mode in BACKEND_MODES:
-        with mode():
-            got_full = scheme.canonical_many(vectors)
-            got_one = scheme.canonical_many(vectors, index=index)
-        assert got_full == unboxed(expected_full)
-        assert got_one == [int(s.value) for s in expected_one]
+        for public in given_forms(vectors, modulus):
+            with mode():
+                got_full = as_lists(scheme.canonical_many(public), scheme)
+                got_one = as_lists(scheme.canonical_many(public, index=index), scheme)
+            assert got_full == unboxed(expected_full)
+            assert got_one == [int(s.value) for s in expected_one]
 
 
 @settings(max_examples=40, deadline=None)
@@ -139,7 +172,7 @@ def test_reconstruct_many_matches_legacy(geom, modulus, seed):
         with mode():
             # Rows carry no degree tag: one call per degree.
             got = [
-                scheme.reconstruct_many([pairs(s)], d)[0]
+                as_lists(scheme.reconstruct_many([pairs(s)], d), scheme)[0]
                 for s, d in zip(sharings, degrees)
             ]
         assert got == expected
@@ -150,9 +183,7 @@ def test_rows_of_interleaved_degrees(modulus):
     """The IT committees' shape: degrees d, d, 2d interleaved in one call."""
     n, k, d = 11, 5, 5
     scheme = PackedShamirScheme(Zmod(modulus), n, k)
-    assert resolve_backend(modulus, n) == (
-        "numpy" if modulus == P61 and numpy_available() else "int"
-    )
+    assert resolve_backend(modulus, n) == ("numpy" if modulus == P61 else "int")
     src = random.Random(16)
     degrees = [d, d, 2 * d] * 4
     vectors = [[src.randrange(modulus) for _ in range(k)] for _ in degrees]
@@ -161,20 +192,20 @@ def test_rows_of_interleaved_degrees(modulus):
         scheme.share(v, degree=deg, rng=rng_loop) for v, deg in zip(vectors, degrees)
     )
     rows = scheme.share_many(vectors, degree=degrees, rng=rng_batched)
-    assert rows == expected
-    assert all(type(v) is int for row in rows for v in row)
+    # A P61 row is a uint64 array until the wire; a P256 scheme keeps lists.
+    assert as_lists(rows, scheme) == expected
     assert rng_batched.getstate() == rng_loop.getstate()
     for deg in (d, 2 * d):
         picked = [r for r, x in zip(rows, degrees) if x == deg]
         opened = scheme.reconstruct_many(
             [list(enumerate(row, start=1)) for row in picked], deg
         )
-        assert opened == [
+        assert as_lists(opened, scheme) == [
             [v % modulus for v in vec]
             for vec, x in zip(vectors, degrees) if x == deg
         ]
     index = 4
-    assert scheme.canonical_many(vectors, index=index) == [
+    assert as_lists(scheme.canonical_many(vectors, index=index), scheme) == [
         int(scheme.canonical_share_for(v, index).value) for v in vectors
     ]
 
@@ -189,16 +220,49 @@ def test_rows_of_interleaved_degrees(modulus):
 )
 def test_matmul_mod_numpy_matches_int(rows, inner, cols, seed, modulus):
     """The limb-split numpy product is exact right up to the 63-bit cutover."""
-    if not numpy_available():
-        pytest.skip("numpy not installed")
     src = random.Random(seed)
-    matrix = tuple(
-        tuple(src.randrange(modulus) for _ in range(inner)) for _ in range(rows)
+    # p − 1 everywhere in the first row and vector: every limb at its maximum.
+    matrix = ((modulus - 1,) * inner,) + tuple(
+        tuple(src.randrange(modulus) for _ in range(inner)) for _ in range(rows - 1)
     )
-    vectors = [[src.randrange(modulus) for _ in range(inner)] for _ in range(cols)]
-    assert matmul_mod(matrix, vectors, modulus, "numpy") == matmul_mod(
-        matrix, vectors, modulus, "int"
-    )
+    vectors = [[modulus - 1] * inner] + [
+        [src.randrange(modulus) for _ in range(inner)] for _ in range(cols - 1)
+    ]
+    expected = matmul_mod(matrix, vectors, modulus, "int")
+    got = matmul_mod(matrix, np.array(vectors, dtype=np.uint64), modulus, "numpy")
+    assert got.dtype == np.uint64
+    assert got.tolist() == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    modulus=st.sampled_from([P61, P63]),
+    count=st.integers(min_value=11, max_value=64),
+    seed=st.integers(min_value=0, max_value=1 << 30),
+)
+def test_elementwise_mod_matches_python_ints(modulus, count, seed):
+    """mul_mod / add_mod (a sum, and a difference as a + (p − b)) and the
+    chunked sum against the loop
+    versions: products of residues near p (128-bit), sums of 11 to 64
+    residues p − 1 (past what uint64 holds), at 2^61 − 1 and just under 2^63."""
+    src = random.Random(seed)
+    edge = [0, 1, modulus - 2, modulus - 1, (1 << 62) % modulus, (1 << 32) - 1]
+    a = edge + [src.randrange(modulus) for _ in range(count)]
+    b = list(reversed(edge)) + [
+        modulus - 1 - src.randrange(1 << 20) for _ in range(count)
+    ]
+    ua, ub = np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64)
+    assert mul_mod(ua, ub, modulus).tolist() == [x * y % modulus for x, y in zip(a, b)]
+    assert add_mod(ua, ub, modulus).tolist() == [(x + y) % modulus for x, y in zip(a, b)]
+    assert add_mod(ua, modulus - ub, modulus).tolist() == [
+        (x - y) % modulus for x, y in zip(a, b)
+    ]
+    table = [[modulus - 1] * 3 + [src.randrange(modulus)] for _ in range(count)]
+    assert sum_mod(np.array(table, dtype=np.uint64), modulus).tolist() == [
+        sum(column) % modulus for column in zip(*table)
+    ]
+    # Python ints (the int backend's operands) take the plain path.
+    assert mul_mod(a[-1], b[-1], modulus) == a[-1] * b[-1] % modulus
 
 
 class TestBackendSelection:
@@ -219,9 +283,8 @@ class TestBackendSelection:
     def test_cutover_rule(self):
         # <= 63 bits and inner <= 4096: numpy; otherwise the int path.
         assert P63.bit_length() == NUMPY_MODULUS_BITS
-        fast = "numpy" if numpy_available() else "int"
-        assert resolve_backend(P61, 4096) == fast
-        assert resolve_backend(P63, 4096) == fast
+        assert resolve_backend(P61, 4096) == "numpy"
+        assert resolve_backend(P63, 4096) == "numpy"
         assert resolve_backend(P61, 4097) == "int"
         assert resolve_backend(P63, 4097) == "int"
         assert resolve_backend(P127, 64) == "int"
@@ -310,7 +373,7 @@ class TestMatrixCaches:
             [row] = scheme.share_many([[7, 8, 9]], rng=rng)
             assert scheme.reconstruct_many(
                 [list(enumerate(row, start=1))], scheme.default_degree
-            ) == [[7, 8, 9]]
+            ).tolist() == [[7, 8, 9]]
 
     def test_packed_scheme_memoizes_per_geometry(self):
         ring = Zmod(P61)

@@ -162,7 +162,7 @@ class TestRobustReconstruct:
         assert scheme.robust_reconstruct(doubled, max_errors=2) == F.elements([3, 4])
         assert scheme.reconstruct(doubled) == F.elements([3, 4])
         pairs = [(s.index, int(s.value)) for s in doubled]
-        assert scheme.reconstruct_many([pairs], d) == [[3, 4]]
+        assert scheme.reconstruct_many([pairs], d).tolist() == [[3, 4]]
 
     def test_duplicate_conflicting_share_rejected(self, rng):
         scheme = PackedShamirScheme(F, 9, 2, default_degree=3)

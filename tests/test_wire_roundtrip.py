@@ -8,6 +8,7 @@ decode error path with hand-crafted malformed bytes.
 
 import zlib
 
+import numpy as np
 import pytest
 
 # Importing the phase modules registers every envelope kind and every
@@ -51,6 +52,7 @@ from repro.wire.codec import (
     TAG_TUPLE,
     write_varint,
 )
+from repro.wire.sizes import ints_wire_len
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +195,55 @@ class TestIntVectorBytes:
         with pytest.raises(WireDecodeError) as in_container:
             codec.decode(bytes([container, 2]) + codec.encode(7) + bad_int)
         assert str(in_container.value) == reason
+
+    @staticmethod
+    def _uint64_ints(value):
+        """The ints of a pinned value (nested containers flattened) that a
+        ``uint64`` row can hold, in order."""
+        if isinstance(value, (list, tuple)):
+            return [v for item in value for v in TestIntVectorBytes._uint64_ints(item)]
+        if type(value) is int and 0 <= value < 1 << 64:
+            return [value]
+        return []
+
+    @pytest.mark.parametrize("pin", [p[0] for p in PINNED] + [
+        # The boundary case's widths do not fit uint64; its row shape does:
+        # one-byte length, the widest (8 bytes) and 2^64 − 1.
+        [1 << 56, (1 << 56) - 1, (1 << 64) - 1, 255, 0],
+    ], ids=["list", "tuple", "boundary"])
+    def test_uint64_rows_encode_like_lists(self, codec, pin):
+        # A sharing-kernel row goes on the wire as the list it stands for:
+        # same bytes, and it decodes to that list (the decoded type is a
+        # list whatever was encoded).
+        ints = self._uint64_ints(pin)
+        row = np.array(ints, dtype=np.uint64)
+        assert codec.encode(row) == codec.encode(ints)
+        assert codec.decode(codec.encode(row)) == ints
+        assert type(codec.decode(codec.encode(row))) is list
+        # Inside a payload dict too (the IT deals and transfers).
+        keyed = {(0, "left"): row, (0, "right"): ints}
+        assert codec.encode(keyed) == codec.encode({k: ints for k in keyed})
+        for dtype in (np.int64, np.uint32):
+            narrow = [v for v in ints if v < 1 << 31]
+            assert codec.encode(np.array(narrow, dtype=dtype)) == codec.encode(narrow)
+
+    @pytest.mark.parametrize("array", [
+        np.array([1.0, 2.0]),
+        np.array([True, False]),
+        np.array([[1, 2], [3, 4]], dtype=np.uint64),
+        np.array(5, dtype=np.uint64),
+        np.array([1, 2], dtype=object),
+    ], ids=["float", "bool", "2-d", "0-d", "object"])
+    def test_arrays_without_a_wire_form_are_refused(self, codec, array):
+        with pytest.raises(WireEncodeError, match="no wire form"):
+            codec.encode(array)
+
+    def test_ints_wire_len_is_the_encoded_length(self, codec):
+        # The cost check's vector expression against the codec's loop.
+        values = [0, 1, -1, 127, 128, 255, 256, -256, M61, -M61, (1 << 64) - 1,
+                  1 << 1015, -(1 << 1015), 1 << 1023, -(1 << 1023), 1 << 131071]
+        assert ints_wire_len(values) == sum(len(codec.encode(v)) for v in values)
+        assert ints_wire_len([]) == 0
 
 
 class TestCiphertextRoundTrip:
