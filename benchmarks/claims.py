@@ -245,6 +245,21 @@ def worst_gap(name: str) -> Callable[[Rows], int]:
     return gap
 
 
+def our_k(rows: Rows) -> dict[tuple[int, float], int]:
+    """Our k per Table 1 cell (C, f); ⊥ reads 0 (no gap, nothing to pack)."""
+    return {(row["C"], row["f"]): int(row["k"].split("/")[0].replace("⊥", "0")) for row in rows}
+
+
+def k_steps(axis: int, wrong: Callable[[int, int], bool]) -> Callable[[Rows], list[str]]:
+    """Adjacent cells along ``axis`` (0: C, 1: f; the other held) whose k steps the wrong way."""
+    def steps(rows: Rows) -> list[str]:
+        k = our_k(rows)
+        cells = sorted(k, key=lambda cell: (cell[1 - axis], cell[axis]))
+        return [f"{a} → {b}" for a, b in zip(cells, cells[1:])
+                if a[1 - axis] == b[1 - axis] and wrong(k[a], k[b])]
+    return steps
+
+
 def scale_rows() -> Rows:
     """Table 1 cells: what the committee pays and what packing buys, both derivations."""
     rows = []
@@ -608,6 +623,12 @@ CLAIMS: tuple[Claim, ...] = (
             Expect("largest |ours − paper| in k", worst_gap("k"), *equals(0)),
             Expect("largest |ours − paper| in c", worst_gap("c"), *within(0, 6)),
             Expect("largest |ours − paper| in c′", worst_gap("c′"), *within(0, 3)),
+            Expect("cells where our k rises with f at fixed C",
+                   k_steps(1, lambda a, b: b > a), *equals([])),
+            Expect("cells where our k falls with C at fixed f",
+                   k_steps(0, lambda a, b: b < a), *equals([])),
+            Expect("our k at (40000, 0.05) over (1000, 0.05)", lambda rows: round(
+                our_k(rows)[(40000, 0.05)] / our_k(rows)[(1000, 0.05)], 1), *above(5)),
         ),
     ),
     Claim(

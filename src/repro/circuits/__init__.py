@@ -35,15 +35,6 @@ from repro.circuits.linalg import (
     relu_from_bits,
     square_activation,
 )
-from repro.circuits.optimize import OptimizationResult, optimize
-from repro.circuits.stats import (
-    BatchEfficiency,
-    CircuitStats,
-    batch_efficiency,
-    best_packing_factor,
-    circuit_stats,
-    estimate_phase_bytes,
-)
 from repro.circuits.serialize import (
     circuit_from_dict,
     circuit_to_dict,
@@ -103,14 +94,6 @@ __all__ = [
     "mlp_circuit",
     "relu_from_bits",
     "square_activation",
-    "OptimizationResult",
-    "optimize",
-    "BatchEfficiency",
-    "CircuitStats",
-    "batch_efficiency",
-    "best_packing_factor",
-    "circuit_stats",
-    "estimate_phase_bytes",
     "circuit_from_dict",
     "circuit_to_dict",
     "digest",

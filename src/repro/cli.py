@@ -74,9 +74,26 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _shape_args(args: argparse.Namespace, default: list[int]) -> list[int]:
+    """``--shape`` as positive ints, as many as ``default`` (mlp: two or more)."""
     if not args.shape:
         return default
-    return [int(x) for x in args.shape.split(",") if x]
+    try:
+        shape = [int(x) for x in args.shape.split(",") if x]
+    except ValueError:
+        raise ParameterError(
+            f"--shape {args.shape!r} is not a comma-separated list of integers"
+        ) from None
+    if args.workload == "mlp":  # D0,D1,...: any number of layers
+        wrong, count = len(shape) < 2, "at least 2"
+    else:
+        wrong, count = len(shape) != len(default), str(len(default))
+    if wrong:
+        raise ParameterError(
+            f"--shape {args.shape!r}: {args.workload} takes {count} entries"
+        )
+    if min(shape) < 1:
+        raise ParameterError(f"--shape {args.shape!r}: entries must be positive")
+    return shape
 
 
 def _circuit_for_args(args: argparse.Namespace):

@@ -10,7 +10,6 @@ Public entry points:
   intermediate state.
 """
 
-from repro.core.audit import AuditReport, audit
 from repro.core.params import ProtocolParams
 from repro.core.protocol import AdversaryFactory, MpcResult, YosoMpc, run_mpc
 from repro.core.setup import (
@@ -56,8 +55,6 @@ from repro.core.resharing import (
 )
 
 __all__ = [
-    "AuditReport",
-    "audit",
     "ProtocolParams",
     "AdversaryFactory",
     "MpcResult",

@@ -17,15 +17,6 @@ from repro.sortition.analysis import (
 )
 from repro.sortition.table1 import TABLE1_PAPER, Table1Row, generate_table1
 from repro.sortition.sortition import SortitionOutcome, sample_committee_sizes, simulate_sortition
-from repro.sortition.planning import (
-    SeriesPoint,
-    feasible_region,
-    gap_series,
-    max_tolerable_corruption,
-    min_committee_for_gap,
-    min_committee_for_packing,
-    packing_series,
-)
 
 __all__ = [
     "GapParameters",
@@ -41,11 +32,4 @@ __all__ = [
     "SortitionOutcome",
     "sample_committee_sizes",
     "simulate_sortition",
-    "SeriesPoint",
-    "feasible_region",
-    "gap_series",
-    "max_tolerable_corruption",
-    "min_committee_for_gap",
-    "min_committee_for_packing",
-    "packing_series",
 ]

@@ -21,18 +21,8 @@ from repro.yoso.adversary import (
 )
 from repro.yoso.network import ProtocolEnvironment
 from repro.yoso.scheduler import AsyncRoundScheduler
-from repro.yoso.functionalities import (
-    IdealBroadcast,
-    IdealMpc,
-    RoleStatus,
-    Stage,
-)
 
 __all__ = [
-    "IdealBroadcast",
-    "IdealMpc",
-    "RoleStatus",
-    "Stage",
     "Role",
     "RoleId",
     "RoleView",

@@ -2,8 +2,10 @@
 
 import json
 
+import pytest
+
 from repro.accounting import loads_report
-from repro.circuits import dot_product_circuit, dumps as dump_circuit
+from repro.circuits import dot_product_circuit, dumps as dump_circuit, loads_program
 from repro.cli import main
 
 
@@ -29,6 +31,33 @@ class TestPlanCommand:
         assert main(["plan", "5000", "0.1", "--conservative"]) == 0
         out = capsys.readouterr().out
         assert "0.08" in out  # the stricter gap
+
+
+class TestCircuitCommand:
+    def test_stats(self, capsys):
+        assert main(["circuit", "stats", "--workload", "matmul", "--shape", "2,3,2",
+                     "--k", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "circuit     " in out and "mul=12" in out  # 2·3·2 products
+        assert "slot util" in out
+
+    def test_compile(self, tmp_path, capsys):
+        out_path = tmp_path / "program.json"
+        assert main(["circuit", "compile", "--workload", "dot", "--shape", "4",
+                     "--k", "2", "--out", str(out_path)]) == 0
+        program = loads_program(out_path.read_text())
+        assert program.k == 2 and program.n_gates == 16
+
+    @pytest.mark.parametrize("workload, shape", [
+        ("dot", "x"),          # not an integer
+        ("matmul", "2,2"),     # matmul takes M,P,Q
+        ("dot", "0"),          # not positive
+        ("mlp", "4"),          # one layer is no network
+    ])
+    def test_malformed_shape_is_an_error_line(self, capsys, workload, shape):
+        assert main(["circuit", "stats", "--workload", workload, "--shape", shape]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --shape") and err.count("\n") == 1
 
 
 class TestRunCommand:
