@@ -203,3 +203,37 @@ def test_pinned_transcript(run, kwargs, wide, digest):
     expected = compile_circuit(circuit, 1).evaluate(ring, inputs).outputs
     assert outputs == {c: [int(v) for v in vs] for c, vs in expected.items()}
     assert measured == digest
+
+
+# -- what the IT dealers drew, whatever its framing ------------------------------
+#
+# sha256 over every dealt (It-P1) and transferred (It-P2) share of the two
+# pinned IT runs, in (post, kind, batch, member) order, with each post's
+# sender and each kind's name.  The board digests above change when the
+# framing of a deal changes; these change only when a draw or a share does.
+
+def _it_share_digest(bulletin) -> str:
+    h = hashlib.sha256()
+    for post in bulletin:
+        section = {"It-P1": "deals", "It-P2": "transfers"}.get(post.tag)
+        if section is None:
+            continue
+        rows = post.payload[section]
+        h.update(post.sender.encode())
+        for kind in sorted({kind for _, kind in rows}):
+            h.update(kind.encode())
+            for batch in sorted({batch for batch, _ in rows}):
+                for share in rows[(batch, kind)]:
+                    h.update(int(share).to_bytes(8, "big"))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("k, seed, wide, digest", [
+    (5, 23, False, "ec5ed37a65f33686cdf46ac29bce3602794ec0b3cb61a8d0ebfb70ff9dc699e2"),
+    (3, 33, True, "0e33d5bbf99d473f2f5937a21864647911441d25935c4c27155dbaf3e2292db0"),
+], ids=["it", "it-wide"])
+def test_pinned_it_shares(k, seed, wide, digest):
+    circuit = _wide_circuit() if wide else dot_product_circuit(2)
+    inputs = _WIDE_INPUTS if wide else _PIN_INPUTS
+    result = ItYosoMpc(n=11, t=1, k=k, rng=random.Random(seed)).run(circuit, inputs)
+    assert _it_share_digest(result.bulletin) == digest
