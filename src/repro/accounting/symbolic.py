@@ -45,7 +45,7 @@ Symbol glossary (run-bound symbols are bound per envelope):
 ``R``     round number              ``Ls Lp Lt`` sender/phase/tag utf8 bytes
 ``OB``    resharing offset bits     ``Zpd``    max partial-dec response bits
 ``Ni``    per-envelope input count  ``Nb``     per-envelope batch count
-``Nt``    per-envelope transfers    ``Gd``     per-envelope gates at depth
+``Nt``    per-envelope transfer rows ``Gd``    per-envelope gates at depth
 ``Kn``    KFF entries in envelope   ``Lk``     KFF tag utf8 bytes, summed
 ``Lc``    client-id utf8 bytes      ``Lw``     workload-name utf8 bytes
 ``Nc``    per-envelope contributors
@@ -73,6 +73,7 @@ from repro.wire.sizes import (
     envelope_wire_len,
     int_nominal,
     ints_wire_len,
+    row_wire_len,
     seq_nominal,
     str_wire_len,
     varint_len,
@@ -167,12 +168,6 @@ class _Space:
 
 # -- the dual-mode walking context -------------------------------------------
 
-#: Collected int leaves an ``ints`` vector prices at once when it brings
-#: the pending count to this: enough to amortise the one expression that
-#: prices them, few enough that the walk's scratch memory stays negligible.
-_INT_BATCH = 1 << 14
-
-
 class _SizeCtx:
     """Accumulates exact bytes (concrete) while returning nominal sizes.
 
@@ -250,11 +245,28 @@ class _SizeCtx:
                     f"expected {count} items, payload has {len(values)}"
                 )
             self._ints.extend(values)
-            if len(self._ints) >= _INT_BATCH:
-                self._price_ints()
             if self._walking:
                 return 0
         return count * int_nominal(bits)
+
+    def row(self, values: Any, count: Any, bits: Any) -> Any:
+        """A field row of exactly ``count`` entries of ``bits`` bits:
+        ``⌈bits/8⌉`` bytes an entry nominal, the live row's exact bytes in
+        the walk (and a list in a row's place, the list's)."""
+        if self._live():
+            assert values is not None, "live walk reached an absent row"
+            if len(values) != int(count):
+                raise CostExactnessError(
+                    f"expected {count} items, payload has {len(values)}"
+                )
+            if isinstance(values, (list, tuple)):
+                self._bytes += 1 + varint_len(len(values))
+                self._ints.extend(values)
+            else:
+                self._bytes += row_wire_len(values)
+            if self._walking:
+                return 0
+        return 2 + vlen(count) + count * cdiv(bits, 8)
 
     def keyed_ints(self, items: Any, count: Any, bits: Any) -> Any:
         """``count`` dict entries ``small key -> int``, priced by ``repeat``."""
@@ -836,20 +848,10 @@ def _b_cdn_eval(ctx: _SizeCtx, p: Any) -> Any:
     return n
 
 
-def _it_share_row(ctx: _SizeCtx, item: Any, kind_len: int) -> Any:
-    """A ``(batch, kind) -> n shares`` entry of a P1 deal or P2 transfer."""
-    key, vec = (None, None) if item is None else item
-    m = ctx.seq(2)  # the (batch, kind) tuple key
-    m += ctx.small(None if key is None else key[0])
-    m += ctx.strn(None if key is None else key[1], kind_len)
-    m += ctx.seq(ctx.P.n, None if vec is None else len(vec))
-    m += ctx.ints(vec, ctx.P.n, ctx.P.fb)
-    return m
-
-
 def _b_it_p1(ctx: _SizeCtx, p: Any) -> Any:
     P = ctx.P
-    nd = ctx.bind("Nb", lambda: len(p["deals"]))
+    deals = None if p is None else p["deals"]
+    nb = ctx.bind("Nb", lambda: len(deals["left"]) // P.n)
     ni = ctx.bind("Ni", lambda: len(p["client_masks"]))
     n = ctx.seq(2, None if p is None else len(p))
 
@@ -859,21 +861,27 @@ def _b_it_p1(ctx: _SizeCtx, p: Any) -> Any:
     n += ctx.keyed_ints(masks, ni, P.fb)
 
     n += ctx.strf("deals")
-    deals = _dict_items(p, "deals")
-    n += ctx.seq(nd, None if deals is None else len(deals))
-    # kinds left/right/out_2d: nominal six bytes
-    n += ctx.repeat(deals, nd, lambda item: _it_share_row(ctx, item, 6))
+    n += ctx.seq(3, None if deals is None else len(deals))
+    for kind in ("left", "out_2d", "right"):
+        n += ctx.strf(kind)
+        n += ctx.row(None if deals is None else deals[kind], nb * P.n, P.fb)
     return n
 
 
 def _b_it_p2(ctx: _SizeCtx, p: Any) -> Any:
-    nt = ctx.bind("Nt", lambda: len(p["transfers"]))
+    P = ctx.P
+    items = _dict_items(p, "transfers")
+    nt = ctx.bind("Nt", lambda: len(items))
+    nb = ctx.bind("Nb", lambda: len(items[0][1]) // P.n if items else 0)
     n = ctx.seq(1, None if p is None else len(p))
     n += ctx.strf("transfers")
-    items = _dict_items(p, "transfers")
     n += ctx.seq(nt, None if items is None else len(items))
     # kinds left/right/gamma: nominal five bytes
-    n += ctx.repeat(items, nt, lambda item: _it_share_row(ctx, item, 5))
+    n += ctx.repeat(
+        items, nt,
+        lambda item: ctx.strn(None if item is None else item[0], 5)
+        + ctx.row(None if item is None else item[1], nb * P.n, P.fb),
+    )
     return n
 
 
@@ -1548,7 +1556,7 @@ class SymbolicCostModel:
             "Ni": cdiv(s.n_inputs, clients) if s.n_inputs else 0,
             "Nb": cdiv(s.n_batches, depths),
             "Gd": cdiv(s.n_multiplications, depths),
-            "Nt": 3 * max(1, s.n_batches),
+            "Nt": 3,
             "Kn": depths * p.n + clients,
             "Lk": self._kff_tag_bytes(),
         }

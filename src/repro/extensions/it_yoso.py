@@ -62,7 +62,7 @@ from repro.errors import ParameterError, ProtocolAbortError
 from repro.fields.ring import Zmod
 from repro.packed_online import MuTracker, mu_gamma_share, slot_values
 from repro.rng import fresh_rng
-from repro.sharing.kernel import add_mod, mul_mod, row_dtype, sum_mod
+from repro.sharing.kernel import add_mod, mul_mod, resolve_backend, sum_mod
 from repro.sharing.packed import packed_scheme, secret_slots
 from repro.wire.registry import register_kind
 from repro.yoso.adversary import Adversary, honest_adversary
@@ -72,9 +72,26 @@ from repro.yoso.network import ProtocolEnvironment
 #: Envelope kind of every IT-YOSO post ("It-P1", "It-P2", "It-input",
 #: and the "It-mul-{depth}" committee tags).
 register_kind(
-    "it.messages", 24, tag_prefix="It-",
+    "it.messages", 24, version=2, tag_prefix="It-",
     description="information-theoretic prototype messages (field elements)",
 )
+
+#: A P1 deal's rows, in the dealing order of each batch.
+DEALT = ("left", "right", "out_2d")
+
+
+def _checked_row(payload: Any, tag: str, index: int, kind: str, n: int,
+                 length: int, q: int) -> np.ndarray:
+    """Member ``index``'s ``kind`` row of a P1 deal or P2 transfer as a
+    batch × member table, if it is ``length`` uint64 entries below ``q``:
+    a named abort, not a wrong sum."""
+    section = "deals" if tag == "It-P1" else "transfers"
+    row = payload[section].get(kind)
+    if not (isinstance(row, np.ndarray) and row.dtype == np.uint64
+            and row.shape == (length,) and (not length or int(row.max()) < q)):
+        raise ProtocolAbortError(f"{tag} {section} row {kind!r} from {tag}[{index}] "
+                                 f"is not {length} field elements below q")
+    return row.reshape(-1, n)
 
 
 @dataclass
@@ -125,6 +142,8 @@ class ItYosoMpc:
                 f"need n > 2(t+k-1) for the degree-2d products, got "
                 f"n={n}, t={t}, k={k}"
             )
+        if resolve_backend(modulus, n) != "numpy":
+            raise ParameterError("the IT rows are uint64 words: modulus or n too large")
         self.n = n
         self.t = t
         self.k = k
@@ -177,40 +196,35 @@ class ItYosoMpc:
         # ---- P1: mask contributions ------------------------------------------
 
         env.set_phase("offline")
-        dtype = row_dtype(q)
         mask_wires = np.array(program.mask_wires, dtype=np.intp)
         client_wires = list(circuit.input_wires) + list(circuit.output_wires)
         # One (left, right, out_2d) vector per batch, batch-major: the rng
         # stream and the share values of the historical per-sharing loop
         # (degrees d, d, 2d interleave per batch).
         deal_slots = program.batch_wires.reshape(-1, k)
-        deal_keys = [
-            (batch.batch_id, kind)
-            for batch in batches
-            for kind in ("left", "right", "out_2d")
-        ]
         deal_degrees = [d, d, 2 * d] * len(batches)
+        row_length = len(batches) * n
 
         def program_p1(view) -> None:
             # Additive contributions to the input/mul wire masks, extended
             # through the linear gates by the mask rule (λ^w = Σ_i m_i^w
             # holds on every wire because the rules are linear).
-            contrib = np.zeros(program.n_gates, dtype=dtype)
+            contrib = np.zeros(program.n_gates, dtype=np.uint64)
             known = np.zeros(program.n_gates, dtype=bool)
             contrib[mask_wires] = [
                 ring.random_value(view.rng) for _ in range(len(mask_wires))
             ]
             known[mask_wires] = True
             program.propagate_linear(contrib, known, q, masks=True)
-            # The kernel's share rows are posted as they come.
             deals = scheme.share_many(
                 slot_values(contrib, deal_slots), degree=deal_degrees, rng=view.rng
             )
             client_masks = dict(zip(client_wires, contrib[client_wires].tolist()))
-            view.speak(
-                "It-P1",
-                {"deals": dict(zip(deal_keys, deals)), "client_masks": client_masks},
-            )
+            # One row per kind: its batches' share vectors end to end.
+            view.speak("It-P1", {
+                "deals": {kind: deals[j::3].ravel() for j, kind in enumerate(DEALT)},
+                "client_masks": client_masks,
+            })
 
         env.run_committee(p1, program_p1)
         p1_payloads = [p for _, p in sorted(env.posts_by_index(p1).items())]
@@ -223,22 +237,24 @@ class ItYosoMpc:
             for w in client_wires
         }
 
-        # P2 member shares of every batch sharing: sums of the P1 deals,
-        # each read off the board once (vector × member).
-        p2_shares = sum_mod(
-            (
-                np.array([p["deals"][key] for key in deal_keys], dtype=dtype)
-                .reshape(len(deal_keys), n)
-                for p in p1_payloads
-            ),
-            q,
-        )
+        # P2 member shares of every batch sharing: sums of the P1 deals
+        # (batch × member per kind), each row read off the board once.
+        p2_shares = {
+            kind: sum_mod(
+                (
+                    _checked_row(p, "It-P1", i, kind, n, row_length, q)
+                    for i, p in enumerate(p1_payloads, 1)
+                ),
+                q,
+            )
+            for kind in DEALT
+        }
 
         # ---- P2: multiply and transfer to the online committees ---------------
 
         def program_p2(view) -> None:
             i = view.index
-            left, right, out2d = (p2_shares[side::3, i - 1] for side in range(3))
+            left, right, out2d = (p2_shares[kind][:, i - 1] for kind in DEALT)
             # The degree-2d share of Γ = λ^α·λ^β − λ^γ.
             gamma_share = add_mod(mul_mod(left, right, q), q - out2d, q)
             # The member's λ rows depend only on (degree, i), and only D+1
@@ -256,17 +272,18 @@ class ItYosoMpc:
                 )
                 if source_degree in rows
             ]
-            # σ_i·L_i per batch and kind, batch-major as the keys.
-            sigmas = np.array([sigma for _, sigma, _ in sent], dtype=dtype)
-            lagrange = np.array([row for _, _, row in sent], dtype=dtype)
+            # σ_i·L_i per batch and kind, batch-major.
+            sigmas = np.array([sigma for _, sigma, _ in sent], dtype=np.uint64)
+            lagrange = np.array([row for _, _, row in sent], dtype=np.uint64)
             vectors = mul_mod(
                 sigmas.reshape(len(sent), len(batches)).T[:, :, None],
                 lagrange.reshape(len(sent), k)[None],
                 q,
             ).reshape(-1, k)
-            keys = [(batch.batch_id, kind) for batch in batches for kind, _, _ in sent]
             transfers = scheme.share_many(vectors, degree=d, rng=view.rng)
-            view.speak("It-P2", {"transfers": dict(zip(keys, transfers))})
+            view.speak("It-P2", {"transfers": {
+                kind: transfers[j::len(sent)].ravel() for j, (kind, _, _) in enumerate(sent)
+            }})
 
         env.run_committee(p2, program_p2)
         p2_payloads = env.posts_by_index(p2)
@@ -279,10 +296,7 @@ class ItYosoMpc:
                 raise ProtocolAbortError("semi-honest IT protocol lost a P2 transfer")
             return sum_mod(
                 (
-                    np.array(
-                        [p2_payloads[i]["transfers"][(b.batch_id, kind)] for b in batches],
-                        dtype=dtype,
-                    ).reshape(len(batches), n)
+                    _checked_row(p2_payloads[i], "It-P2", i, kind, n, row_length, q)
                     for i in senders
                 ),
                 q,

@@ -7,7 +7,9 @@ decoder rejects everything else (non-minimal integers, unsorted dict
 entries, trailing bytes) — so ``encode(decode(b)) == b`` for any accepted
 ``b`` and seeded transcripts are byte-identical across runs.
 
-Scalars and containers are built in.  Domain objects come in two forms:
+Scalars and containers are built in, and so is a sharing-kernel row (a
+one-dimensional ``uint64`` array): a count, one width byte ``w``, then each
+entry in ``w`` little-endian bytes.  Domain objects come in two forms:
 
 * :class:`~repro.paillier.paillier.PaillierCiphertext` has its own tag —
   it is the dominant object on the wire, so it ships as an 8-byte key id
@@ -29,7 +31,6 @@ how a fresh process (a socket-transport worker) bootstraps an empty
 from __future__ import annotations
 
 import hashlib
-from sys import intern
 from dataclasses import dataclass, fields as dataclass_fields, is_dataclass
 from typing import Any
 
@@ -53,6 +54,7 @@ TAG_TUPLE = 0x09
 TAG_DICT = 0x0A
 TAG_OBJECT = 0x0B
 TAG_CIPHERTEXT = 0x0C
+TAG_FIELD_ROW = 0x0D
 
 #: Bytes of SHA-256(modulus) identifying a Paillier key on the wire.
 KEY_ID_BYTES = 8
@@ -62,6 +64,16 @@ _POS_HEADS = tuple(bytes((TAG_INT_POS, n)) for n in range(0x80))
 _NEG_HEADS = tuple(bytes((TAG_INT_NEG, n)) for n in range(0x80))
 
 _VARINT_MAX_LEN = 9
+
+#: Entries a field row may carry.  An all-zero row has no body to bound its
+#: count by, as a list's is, so both ends refuse longer rows (≤ 128 MiB).
+MAX_ROW_ENTRIES = 1 << 24
+
+
+def row_width(row: np.ndarray) -> int:
+    """Bytes per entry of a field row on the wire: the minimal width of its
+    largest entry, 0 for an empty or all-zero row."""
+    return (int(row.max()).bit_length() + 7) >> 3 if len(row) else 0
 
 
 # -- varints -----------------------------------------------------------------
@@ -296,14 +308,7 @@ class WireCodec:
                 value, TAG_LIST if isinstance(value, list) else TAG_TUPLE, out
             )
         elif isinstance(value, np.ndarray):
-            # A sharing-kernel row goes out as the list it stands for (one
-            # tolist()); no other array has a wire form.
-            if value.ndim != 1 or value.dtype.kind not in "iu":
-                raise WireEncodeError(
-                    f"no wire form for a {value.ndim}-d {value.dtype} array "
-                    f"(only one-dimensional integer rows)"
-                )
-            self._encode_items(value.tolist(), TAG_LIST, out)
+            self._encode_row(value, out)
         elif isinstance(value, dict):
             pairs = sorted(
                 (self.encode(k), self.encode(v)) for k, v in value.items()
@@ -345,10 +350,8 @@ class WireCodec:
         write_varint(out, len(items))
         append = out.append
         for item in items:
-            # Share rows are runs of plain ints and dict keys pair them with
-            # short strings: write those inline (what _encode would emit).
-            kind = type(item)
-            if kind is int:
+            # Runs of plain ints are written inline (what _encode would emit).
+            if type(item) is int:
                 if not item:
                     append(TAG_INT_ZERO)
                     continue
@@ -358,14 +361,26 @@ class WireCodec:
                     out += (_POS_HEADS if item > 0 else _NEG_HEADS)[length]
                     out += magnitude.to_bytes(length, "big")
                     continue
-            elif kind is str:
-                raw = item.encode("utf-8")
-                if len(raw) < 0x80:
-                    append(TAG_STR)
-                    append(len(raw))
-                    out += raw
-                    continue
             self._encode(item, out)
+
+    @staticmethod
+    def _encode_row(row: np.ndarray, out: bytearray) -> None:
+        """A sharing-kernel row: count, the width ``w`` of its largest entry
+        (:func:`row_width`), then ``w`` little-endian bytes per entry.  No
+        other array has a wire form."""
+        if row.ndim != 1 or row.dtype != np.uint64:
+            raise WireEncodeError(
+                f"no wire form for a {row.ndim}-d {row.dtype} array "
+                f"(only one-dimensional uint64 rows)"
+            )
+        if len(row) > MAX_ROW_ENTRIES:
+            raise WireEncodeError(f"row of {len(row)} entries exceeds the row bound")
+        width = row_width(row)
+        out.append(TAG_FIELD_ROW)
+        write_varint(out, len(row))
+        out.append(width)
+        words = np.ascontiguousarray(row, dtype="<u8").view(np.uint8).reshape(-1, 8)
+        out += words[:, :width].tobytes()
 
     @staticmethod
     def _encode_int(value: int, out: bytearray) -> None:
@@ -429,6 +444,8 @@ class WireCodec:
             return (magnitude if tag == TAG_INT_POS else -magnitude), pos
         if tag == TAG_INT_ZERO:
             return 0, pos
+        if tag == TAG_FIELD_ROW:
+            return self._decode_row(data, pos)
         if tag == TAG_STR:
             length, pos = read_varint(data, pos)
             raw = self._take(data, pos, length, "string")
@@ -495,9 +512,9 @@ class WireCodec:
         self, data: bytes, pos: int, count: int, starts: list[int] | None = None
     ) -> tuple[list[Any], int]:
         """``count`` consecutive values from ``pos`` (``starts`` collects
-        where each begins).  Well-formed ints and short strings — one-byte
-        length — are read inline; anything else, rejections included,
-        takes the full path."""
+        where each begins).  Well-formed ints with a one-byte length are
+        read inline; anything else, rejections included, takes the full
+        path."""
         items: list[Any] = []
         append = items.append
         end = len(data)
@@ -515,20 +532,6 @@ class WireCodec:
                         append(magnitude if item_tag == TAG_INT_POS else -magnitude)
                         pos = stop
                         continue
-                elif item_tag == TAG_STR:
-                    # Short strings are mostly key names repeated entry after
-                    # entry (a deal's "left"/"right"): interned, they share one
-                    # object instead of one per decoded key.
-                    length = data[pos + 1]
-                    stop = pos + 2 + length
-                    if length < 0x80 and stop <= end:
-                        try:
-                            append(intern(data[pos + 2:stop].decode("utf-8")))
-                        except UnicodeDecodeError:
-                            pass
-                        else:
-                            pos = stop
-                            continue
                 elif item_tag == TAG_INT_ZERO:
                     append(0)
                     pos += 1
@@ -536,6 +539,25 @@ class WireCodec:
             item, pos = self._decode(data, pos)
             append(item)
         return items, pos
+
+    def _decode_row(self, data: bytes, pos: int) -> tuple[np.ndarray, int]:
+        count, pos = read_varint(data, pos)
+        if count > MAX_ROW_ENTRIES:
+            raise WireDecodeError(f"row of {count} entries exceeds the row bound")
+        width = self._take(data, pos, 1, "row width")[0]
+        if width > 8:
+            raise WireDecodeError(f"row width {width} exceeds 8 bytes")
+        if pos + 1 + count * width > len(data):
+            raise WireDecodeError("truncated row")
+        # One copy out of the input: the entries into zeroed 8-byte words.
+        words = np.zeros((count, 8), dtype=np.uint8)
+        words[:, :width] = np.frombuffer(
+            data, np.uint8, count * width, pos + 1
+        ).reshape(count, width)
+        row = words.view("<u8").reshape(count).astype(np.uint64, copy=False)
+        if row_width(row) != width:
+            raise WireDecodeError(f"non-minimal row width {width}")
+        return row, pos + 1 + count * width
 
     @staticmethod
     def _take(data: bytes, pos: int, length: int, what: str) -> bytes:

@@ -30,7 +30,7 @@ from itertools import repeat
 from operator import add, ge, rshift
 from typing import Any, Sequence
 
-from repro.wire.codec import KEY_ID_BYTES
+from repro.wire.codec import KEY_ID_BYTES, row_width
 
 #: magic(2) + version(1) + crc32(4): the fixed envelope framing bytes.
 ENVELOPE_FIXED_BYTES = 7
@@ -71,6 +71,11 @@ def ints_wire_len(values: Sequence[int]) -> int:
         total += sum(map(ge, lengths, repeat(floor)))
         floor <<= 7
     return total
+
+
+def row_wire_len(row: Any) -> int:
+    """Exact wire bytes of a field row (mirrors ``WireCodec._encode_row``)."""
+    return 2 + varint_len(len(row)) + len(row) * row_width(row)
 
 
 def str_wire_len(value: str) -> int:

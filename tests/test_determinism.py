@@ -220,11 +220,11 @@ def _it_share_digest(bulletin) -> str:
             continue
         rows = post.payload[section]
         h.update(post.sender.encode())
-        for kind in sorted({kind for _, kind in rows}):
+        for kind, row in sorted(rows.items()):
             h.update(kind.encode())
-            for batch in sorted({batch for batch, _ in rows}):
-                for share in rows[(batch, kind)]:
-                    h.update(int(share).to_bytes(8, "big"))
+            # A row is batch-major: batch by batch, member by member.
+            for share in row.tolist():
+                h.update(share.to_bytes(8, "big"))
     return h.hexdigest()
 
 

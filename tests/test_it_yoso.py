@@ -14,6 +14,7 @@ from repro.errors import ParameterError, ProtocolAbortError
 from repro.extensions import ItYosoMpc
 from repro.fields import Zmod
 from repro.yoso.adversary import Adversary, CrashSpec
+from repro.yoso.network import ProtocolEnvironment
 from repro.yoso.roles import RoleId
 
 F = Zmod((1 << 61) - 1)
@@ -118,6 +119,69 @@ class TestFailStop:
                        adversary=Adversary(crash_spec=crashed))
         with pytest.raises(ProtocolAbortError, match=f"input client '{client}'"):
             it.run(dot_product_circuit(2), {"alice": [1, 2], "bob": [3, 4]})
+
+
+def _with_entry(value):
+    def mutate(row):
+        row = row.copy()
+        row[0] = value
+        return row
+    return mutate
+
+
+class TestMalformedRows:
+    """A deal or transfer row that is not B·n uint64 entries below q is a
+    ``ProtocolAbortError`` naming the tag and the sender.
+
+    Member 2 of P1 or P2 corrupts its ``left`` row.  At the parent commit,
+    where a deal was a dict of ``(batch, kind) → list`` entries and the
+    same mutations hit the first entry, the run ended as follows:
+
+    * entry = q: a wrong output (727935547532836420 via P1,
+      1210791086610002241 via P2; the right one is 70);
+    * entry = 2^64 − 1: a wrong output (956000852170178996 via P1,
+      1210791086610002221 via P2);
+    * one entry short: a bare numpy ``ValueError`` ("setting an array
+      element with a sequence … inhomogeneous shape");
+    * a list in place of the row: the right output, since a list was then
+      the row's wire form.
+    """
+
+    @pytest.mark.parametrize("tag", ["It-P1", "It-P2"])
+    @pytest.mark.parametrize("mutate", [
+        _with_entry((1 << 61) - 1),
+        _with_entry((1 << 64) - 1),
+        lambda row: row[:-1],
+        lambda row: row.tolist(),
+    ], ids=["entry-q", "entry-2^64-1", "one-short", "list"])
+    def test_bad_row_is_a_named_abort(self, monkeypatch, tag, mutate):
+        sample = ProtocolEnvironment.sample_committee
+
+        def corrupting(env, name, size):
+            committee = sample(env, name, size)
+            if name == tag:
+                committee.role(2).corrupted = True
+            return committee
+
+        section = "deals" if tag == "It-P1" else "transfers"
+
+        def transform(role_id, phase, posted_tag, payload):
+            payload[section]["left"] = mutate(payload[section]["left"])
+            return payload
+
+        monkeypatch.setattr(ProtocolEnvironment, "sample_committee", corrupting)
+        it = ItYosoMpc(n=9, t=2, k=2, rng=random.Random(1),
+                       adversary=Adversary(transform=transform))
+        with pytest.raises(
+            ProtocolAbortError,
+            match=rf"^{tag} {section} row 'left' from {tag}\[2\] is not 18 field "
+            rf"elements below q$",
+        ):
+            it.run(dot_product_circuit(4), {"alice": [1, 2, 3, 4], "bob": [5, 6, 7, 8]})
+
+    def test_wide_modulus_is_refused(self):
+        with pytest.raises(ParameterError, match="uint64 words"):
+            ItYosoMpc(n=9, t=2, k=2, modulus=(1 << 89) - 1)
 
 
 class TestCommunication:

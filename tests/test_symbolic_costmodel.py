@@ -12,6 +12,7 @@ crash budgets, robust reconstruction) that change the formulas.
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 import sympy
 
@@ -38,6 +39,7 @@ from repro.core import run_mpc
 from repro.core.params import ProtocolParams
 from repro.core.protocol import YosoMpc
 from repro.extensions import ItYosoMpc
+from repro.wire.codec import row_width
 from repro.wire.sizes import vlen_function
 
 
@@ -173,8 +175,8 @@ class TestBaselines:
 
 
 class TestChecksStillFire:
-    """A board that is not what its posts declare is refused, share
-    vectors (the ``ints`` leaf) included."""
+    """A board that is not what its posts declare is refused, field rows
+    (the ``row`` leaf) included."""
 
     @pytest.fixture
     def it_result(self):
@@ -188,25 +190,26 @@ class TestChecksStillFire:
         return post, next(iter(post.payload[section].values()))
 
     def test_mutated_share_value(self, it_result):
-        # A decoded share that is not the one on the wire: the walked
-        # bytes no longer add up to the envelope body.
-        _, vector = self._first_vector(it_result, "It-P1", "deals")
-        assert vector[0].bit_length() > 8
-        vector[0] = 1
+        # A decoded row that is not the one on the wire: entries that fit
+        # one byte encode at width 1, the envelope body carries width 8.
+        _, row = self._first_vector(it_result, "It-P1", "deals")
+        assert row_width(row) == 8
+        row[:] = 1
         with pytest.raises(CostExactnessError, match="stale"):
             verify_cost_exactness(it_result)
 
     def test_wrong_length_share_vector(self, it_result):
-        _, vector = self._first_vector(it_result, "It-P2", "transfers")
-        vector.append(0)
-        with pytest.raises(CostExactnessError, match="expected 9 items"):
+        # Two batches of nine members: a row of 18 entries, one too many.
+        post, row = self._first_vector(it_result, "It-P2", "transfers")
+        post.payload["transfers"]["left"] = np.append(row, np.uint64(0))
+        with pytest.raises(CostExactnessError, match="expected 18 items, payload has 19"):
             verify_cost_exactness(it_result)
 
     def test_stale_shape(self, it_result):
-        # A bool where the shape declares an int: one wire byte, priced as
-        # an int — the body-length comparison refuses it.
-        _, vector = self._first_vector(it_result, "It-P1", "deals")
-        vector[0] = True
+        # A list of the same ints where the shape declares a row: priced as
+        # the list it encodes to, which the body-length comparison refuses.
+        post, row = self._first_vector(it_result, "It-P1", "deals")
+        post.payload["deals"]["left"] = row.tolist()
         with pytest.raises(CostExactnessError, match="stale"):
             verify_cost_exactness(it_result)
 

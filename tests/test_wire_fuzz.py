@@ -16,6 +16,7 @@ the same properties with shrinking.
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.errors import WireDecodeError
@@ -57,11 +58,43 @@ def codec(keypair):
 
 # -- seeded value generator ---------------------------------------------------
 
+def random_row(rng: random.Random) -> np.ndarray:
+    """A field row: empty, all-zero, one element, widest entry of each
+    width 1–8, or holding 2^64 − 1."""
+    shape = rng.choice(["empty", "zero", "one", "width", "max"])
+    if shape == "empty":
+        return np.zeros(0, dtype=np.uint64)
+    if shape == "zero":
+        return np.zeros(rng.randint(1, 6), dtype=np.uint64)
+    if shape == "one":
+        return np.array([rng.getrandbits(64)], dtype=np.uint64)
+    width = rng.randint(1, 8)
+    entries = [rng.getrandbits(8 * width) for _ in range(rng.randint(0, 6))]
+    entries.insert(rng.randint(0, len(entries)), rng.randrange(1 << (8 * width - 1), 1 << (8 * width)))
+    if shape == "max":
+        entries[rng.randrange(len(entries))] = (1 << 64) - 1
+    return np.array(entries, dtype=np.uint64)
+
+
+def same(a, b) -> bool:
+    """``a == b``, field rows included (same dtype, same entries)."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (
+            type(a) is type(b) and a.dtype == b.dtype
+            and a.shape == b.shape and bool((a == b).all())
+        )
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
+    if isinstance(a, dict):
+        return type(b) is dict and a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+    return a == b
+
+
 def random_value(rng: random.Random, keypair, depth: int = 0):
     """One random codec-encodable value (containers shrink with depth)."""
     leaf_kinds = [
         "none", "bool", "small_int", "big_int", "neg_int",
-        "bytes", "str", "announcement", "ciphertext",
+        "bytes", "str", "announcement", "ciphertext", "row",
     ]
     kinds = list(leaf_kinds)
     if depth < 3:
@@ -87,6 +120,8 @@ def random_value(rng: random.Random, keypair, depth: int = 0):
         return KeyAnnouncement(keypair.public.n)
     if kind == "ciphertext":
         return keypair.public.encrypt(rng.randint(0, 1000), rng=rng)
+    if kind == "row":
+        return random_row(rng)
     if kind in ("list", "tuple"):
         items = [
             random_value(rng, keypair, depth + 1)
@@ -142,7 +177,7 @@ class TestCodecFuzz:
             value = random_value(rng, keypair)
             encoded = codec.encode(value)
             decoded = codec.decode(encoded)
-            assert decoded == value
+            assert same(decoded, value)
             # Canonical: re-encoding the decode is byte-identical.
             assert codec.encode(decoded) == encoded
 
@@ -177,6 +212,21 @@ class TestCodecFuzz:
                 with pytest.raises(WireDecodeError):
                     codec.decode(encoded[:cut])
 
+    def test_rows_roundtrip_and_truncate_loudly(self, codec):
+        # Every row shape on its own, beside the rows random_value nests.
+        rng = random.Random(SEED + 6)
+        widths = set()
+        for _ in range(120):
+            row = random_row(rng)
+            encoded = codec.encode(row)
+            widths.add(encoded[2])  # tag, one-byte count, width
+            assert same(codec.decode(encoded), row)
+            assert codec.encode(codec.decode(encoded)) == encoded
+            for cut in range(len(encoded)):
+                with pytest.raises(WireDecodeError):
+                    codec.decode(encoded[:cut])
+        assert widths == set(range(9))  # every width, 0 to 8, was drawn
+
     def test_every_truncation_rejected(self, codec, keypair):
         rng = random.Random(SEED + 1)
         for _ in range(25):
@@ -206,6 +256,7 @@ def _sample_envelope(codec, keypair, rng) -> bytes:
         "mu": {rng.randint(0, 9): rng.randint(0, 10**6)},
         "note": "fuzz",
         "ct": keypair.public.encrypt(rng.randint(0, 99), rng=rng),
+        "row": random_row(rng),
     }
     body, _ = codec.encode_payload(payload)
     tag = "input:alice"
@@ -253,12 +304,16 @@ class TestEnvelopeFuzz:
 
 if HAVE_HYPOTHESIS:
 
+    rows = st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=8).map(
+        lambda entries: np.array(entries, dtype=np.uint64)
+    )
     json_values = st.recursive(
         st.none()
         | st.booleans()
         | st.integers(min_value=-(2**256), max_value=2**256)
         | st.binary(max_size=64)
-        | st.text(max_size=32),
+        | st.text(max_size=32)
+        | rows,
         lambda children: st.lists(children, max_size=4)
         | st.lists(children, max_size=4).map(tuple)
         | st.dictionaries(st.text(max_size=8), children, max_size=4),
@@ -272,7 +327,7 @@ if HAVE_HYPOTHESIS:
             codec = WireCodec()
             encoded = codec.encode(value)
             decoded = codec.decode(encoded)
-            assert decoded == value
+            assert same(decoded, value)
             assert codec.encode(decoded) == encoded
 
         @settings(max_examples=200, deadline=None)

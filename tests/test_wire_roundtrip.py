@@ -43,8 +43,10 @@ from repro.wire import (
     roundtrip_check,
 )
 from repro.wire.codec import (
+    MAX_ROW_ENTRIES,
     TAG_BYTES,
     TAG_DICT,
+    TAG_FIELD_ROW,
     TAG_INT_NEG,
     TAG_INT_POS,
     TAG_LIST,
@@ -52,7 +54,7 @@ from repro.wire.codec import (
     TAG_TUPLE,
     write_varint,
 )
-from repro.wire.sizes import ints_wire_len
+from repro.wire.sizes import ints_wire_len, row_wire_len
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +136,8 @@ M61 = (1 << 61) - 1
 
 class TestIntVectorBytes:
     """Ints inside lists and tuples are written and read inline; the bytes
-    are the ones the element-by-element encoder produced (pinned from it)."""
+    are the ones the element-by-element encoder produced (pinned from it).
+    A ``uint64`` row is its own tag, pinned here too."""
 
     PINNED = [
         (
@@ -206,26 +209,68 @@ class TestIntVectorBytes:
             return [value]
         return []
 
-    @pytest.mark.parametrize("pin", [p[0] for p in PINNED] + [
-        # The boundary case's widths do not fit uint64; its row shape does:
-        # one-byte length, the widest (8 bytes) and 2^64 − 1.
-        [1 << 56, (1 << 56) - 1, (1 << 64) - 1, 255, 0],
+    @pytest.mark.parametrize("pin,pinned", [
+        (
+            PINNED[0][0],
+            "0d0708" "0000000000000000" "feffffffffffff1f" "ff00000000000000"
+            "0001000000000000" "0300000000000000" "0000000000000000"
+            "0100000000000000",
+        ),
+        (PINNED[1][0], "0d0308" "ffffffffffffff1f" "0000000000000000" "0100000000000000"),
+        (
+            # The boundary case's widths do not fit uint64; its row shape
+            # does: the widest entry (8 bytes) and 2^64 − 1.
+            [1 << 56, (1 << 56) - 1, (1 << 64) - 1, 255, 0],
+            "0d0508" "0000000000000001" "ffffffffffffff00" "ffffffffffffffff"
+            "ff00000000000000" "0000000000000000",
+        ),
     ], ids=["list", "tuple", "boundary"])
-    def test_uint64_rows_encode_like_lists(self, codec, pin):
-        # A sharing-kernel row goes on the wire as the list it stands for:
-        # same bytes, and it decodes to that list (the decoded type is a
-        # list whatever was encoded).
-        ints = self._uint64_ints(pin)
-        row = np.array(ints, dtype=np.uint64)
-        assert codec.encode(row) == codec.encode(ints)
-        assert codec.decode(codec.encode(row)) == ints
-        assert type(codec.decode(codec.encode(row))) is list
-        # Inside a payload dict too (the IT deals and transfers).
-        keyed = {(0, "left"): row, (0, "right"): ints}
-        assert codec.encode(keyed) == codec.encode({k: ints for k in keyed})
-        for dtype in (np.int64, np.uint32):
-            narrow = [v for v in ints if v < 1 << 31]
-            assert codec.encode(np.array(narrow, dtype=dtype)) == codec.encode(narrow)
+    def test_uint64_row_bytes_pinned(self, codec, pin, pinned):
+        # A sharing-kernel row is one TAG_FIELD_ROW: count, width, then the
+        # little-endian entries at that width; it decodes to a uint64 row.
+        row = np.array(self._uint64_ints(pin), dtype=np.uint64)
+        assert codec.encode(row).hex() == pinned
+        decoded = codec.decode(bytes.fromhex(pinned))
+        assert decoded.dtype == np.uint64 and decoded.tolist() == row.tolist()
+        # Inside a payload dict too (the IT deals and transfers): the dict
+        # framing around the same row bytes.
+        keyed = codec.encode({"left": row})
+        assert keyed == bytes([TAG_DICT, 1]) + codec.encode("left") + bytes.fromhex(pinned)
+
+    @pytest.mark.parametrize("width", range(9))
+    def test_row_width_is_the_widest_entry(self, codec, width):
+        # Widths 0..8: every entry written at the width of the largest one
+        # (0 for an all-zero row: the count alone).
+        top = (1 << (8 * width - 1)) if width else 0
+        row = np.array([top, 1 if width else 0, top], dtype=np.uint64)
+        body = b"".join(int(v).to_bytes(8, "little")[:width] for v in row)
+        pinned = bytes([TAG_FIELD_ROW, 3, width]) + body
+        assert codec.encode(row) == pinned
+        assert codec.decode(pinned).tolist() == row.tolist()
+        assert row_wire_len(row) == len(pinned)  # the cost walk's reading
+
+    def test_empty_row(self, codec):
+        assert codec.encode(np.array([], dtype=np.uint64)) == b"\x0d\x00\x00"
+        assert codec.decode(b"\x0d\x00\x00").shape == (0,)
+
+    @pytest.mark.parametrize("body,reason", [
+        (b"\x01\x09" + bytes(9), "row width 9 exceeds 8 bytes"),
+        (b"\x01\x02\x01\x00", "non-minimal row width 2"),   # 1 fits one byte
+        (b"\x02\x01\x00\x00", "non-minimal row width 1"),   # all zero: width 0
+        (b"\x00\x01", "non-minimal row width 1"),             # empty: width 0
+        (b"\x02\x08" + bytes(15), "truncated row"),           # count·w past the end
+        (b"\x01", "truncated row width"),
+        (b"\x80\x80\x80\x10\x00", "exceeds the row bound"),  # 2^25 zeros
+    ], ids=["width-9", "non-minimal", "zero-row-width", "empty-row-width",
+            "short-body", "no-width", "bomb"])
+    def test_malformed_rows_rejected(self, codec, body, reason):
+        with pytest.raises(WireDecodeError) as error:
+            codec.decode(bytes([TAG_FIELD_ROW]) + body)
+        assert reason in str(error.value)
+
+    def test_row_past_the_bound_is_not_encoded(self, codec):
+        with pytest.raises(WireEncodeError, match="exceeds the row bound"):
+            codec.encode(np.zeros(MAX_ROW_ENTRIES + 1, dtype=np.uint64))
 
     @pytest.mark.parametrize("array", [
         np.array([1.0, 2.0]),
@@ -233,8 +278,11 @@ class TestIntVectorBytes:
         np.array([[1, 2], [3, 4]], dtype=np.uint64),
         np.array(5, dtype=np.uint64),
         np.array([1, 2], dtype=object),
-    ], ids=["float", "bool", "2-d", "0-d", "object"])
+        np.array([1, 2], dtype=np.int64),
+        np.array([1, 2], dtype=np.uint32),
+    ], ids=["float", "bool", "2-d", "0-d", "object", "int64", "uint32"])
     def test_arrays_without_a_wire_form_are_refused(self, codec, array):
+        # Only a one-dimensional uint64 row has a wire form.
         with pytest.raises(WireEncodeError, match="no wire form"):
             codec.encode(array)
 
