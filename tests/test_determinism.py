@@ -121,6 +121,9 @@ def test_board_bytes_identical_with_and_without_tables(board, monkeypatch):
 # ([2,1,1] at k=2, [3,1] at k=3 — pinned at 95ec28f, as were both Turbopack
 # digests once they started covering the generator's end state).  Both CDN
 # digests re-pinned at ccbd8d4: Beaver draws in core's order (EXPERIMENTS §S3).
+# Both IT digests re-pinned when a deal became one uint64 row per kind
+# (it.messages v2, TAG_FIELD_ROW): the framing moved, the draws did not —
+# test_pinned_it_shares below holds the shares to their earlier values.
 
 _PIN_INPUTS = {"alice": [3, 1], "bob": [4, 1]}
 _WIDE_INPUTS = {"alice": [3, 1, 4], "bob": [1, 5, 9]}
@@ -183,7 +186,7 @@ def _pinned_turbopack(circuit, inputs, seed):
     (_pinned_cdn, {"seed": 22}, False,
      "76df529011d07bc4868fc737889bde7b127edc0e4e81ff689b77a3828bc1426f"),
     (_pinned_it, {"k": 5, "seed": 23}, False,
-     "5209666844966b274aac6533ea944b660a67ef62a4f5330208126d549dd94fdb"),
+     "fece77eb9daffbe056cb2621084225e2b0e1ce340a1db64d52f1e43945f07f6c"),
     (_pinned_turbopack, {"seed": 24}, False,
      "a795b135a7df8764d63c971f795737183e4143df4896fa75ed5b13adb8f2f01c"),
     (_pinned_core, {"params": ProtocolParams.from_gap(5, 0.25), "seed": 31}, True,
@@ -191,7 +194,7 @@ def _pinned_turbopack(circuit, inputs, seed):
     (_pinned_cdn, {"seed": 32}, True,
      "e841921bf58e4aae67198439ca680541f56953c6d563e311599d18d86186aa6c"),
     (_pinned_it, {"k": 3, "seed": 33}, True,
-     "74d9458bf882aad3eda237d4d46176eca2570761a12109e84c4fb1be7815d45a"),
+     "e9fabf601debc393930d120b77b40710865201607d7859d37623ea6521d7d674"),
     (_pinned_turbopack, {"seed": 34}, True,
      "921728fdf7a62748da905adcc4ee1e511a7200d64fba7210eaf0aa49975adf41"),
 ], ids=["core", "cdn", "it", "turbopack",
