@@ -31,6 +31,7 @@ how a fresh process (a socket-transport worker) bootstraps an empty
 from __future__ import annotations
 
 import hashlib
+from sys import intern
 from dataclasses import dataclass, fields as dataclass_fields, is_dataclass
 from typing import Any
 
@@ -450,7 +451,8 @@ class WireCodec:
             length, pos = read_varint(data, pos)
             raw = self._take(data, pos, length, "string")
             try:
-                return raw.decode("utf-8"), pos + length
+                # Interned: a dict key repeated entry after entry is one object.
+                return intern(raw.decode("utf-8")), pos + length
             except UnicodeDecodeError as exc:
                 raise WireDecodeError(f"invalid utf-8 string: {exc}") from exc
         if tag == TAG_NONE:

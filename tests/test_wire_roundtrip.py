@@ -42,6 +42,7 @@ from repro.wire import (
     registered_kinds,
     roundtrip_check,
 )
+import repro.wire.codec as wire_codec
 from repro.wire.codec import (
     MAX_ROW_ENTRIES,
     TAG_BYTES,
@@ -268,9 +269,15 @@ class TestIntVectorBytes:
             codec.decode(bytes([TAG_FIELD_ROW]) + body)
         assert reason in str(error.value)
 
-    def test_row_past_the_bound_is_not_encoded(self, codec):
-        with pytest.raises(WireEncodeError, match="exceeds the row bound"):
-            codec.encode(np.zeros(MAX_ROW_ENTRIES + 1, dtype=np.uint64))
+    def test_row_past_the_bound_is_not_encoded(self, codec, monkeypatch):
+        # Both ends refuse a row longer than the bound (a smaller bound
+        # here, so the test allocates nothing large).
+        monkeypatch.setattr(wire_codec, "MAX_ROW_ENTRIES", 4)
+        with pytest.raises(WireEncodeError, match="row of 5 entries exceeds the row bound"):
+            codec.encode(np.zeros(5, dtype=np.uint64))
+        with pytest.raises(WireDecodeError, match="row of 5 entries exceeds the row bound"):
+            codec.decode(bytes([TAG_FIELD_ROW, 5, 0]))
+        assert MAX_ROW_ENTRIES == 1 << 24
 
     @pytest.mark.parametrize("array", [
         np.array([1.0, 2.0]),
